@@ -4,15 +4,10 @@
 // data-parallel traffic (and different concurrent calls) never intercept
 // each other's messages.  The cost is that a receive must scan past queued
 // non-matching messages.  Series: receive latency as a function of the
-// number of non-matching messages ahead of the match, the end-to-end
-// effect on a distributed call running while unrelated traffic is queued,
-// and the indexed-vs-linear A/B on the contended many-waiter workload the
-// indexed mailbox exists for.
+// number of non-matching messages ahead of the match, and the end-to-end
+// effect on a distributed call running while unrelated traffic is queued.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <memory>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -87,86 +82,6 @@ BENCHMARK(BM_DistributedCallWithForeignTrafficQueued)
     ->Arg(0)
     ->Arg(64)
     ->Arg(1024);
-
-// The workload the indexed mailbox targets: many mailboxes, several blocked
-// selective receivers per mailbox, a standing queue of non-matching traffic.
-// The linear path pays notify_all (every sleeper wakes per post) times a
-// full-queue rescan per wake — O(W * N) work per delivery; the indexed path
-// wakes exactly the matching waiter and resumes its bucket cursor past the
-// noise.  Arg: 0 = linear (baseline), 1 = indexed.
-void BM_ContendedSelectiveReceive(benchmark::State& state) {
-  const bool indexed = state.range(0) != 0;
-  vp::force_mailbox_mode(indexed ? vp::MailboxMode::Indexed
-                                 : vp::MailboxMode::Linear);
-  constexpr int kBoxes = 8;    // distinct VPs
-  constexpr int kWaiters = 8;  // blocked selective receivers per VP
-  constexpr int kNoise = 128;  // standing non-matching queue depth per VP
-  {
-    // Mode is snapshotted at construction, so the mailboxes are built
-    // inside the force window.
-    std::vector<std::unique_ptr<vp::Mailbox>> boxes;
-    boxes.reserve(kBoxes);
-    for (int b = 0; b < kBoxes; ++b) {
-      boxes.push_back(std::make_unique<vp::Mailbox>(b));
-      for (int i = 0; i < kNoise; ++i) {
-        vp::Message m;
-        m.cls = vp::MessageClass::DataParallel;
-        m.comm = 999;  // never matched by any waiter
-        m.tag = 0;
-        m.src = 0;
-        boxes.back()->post(std::move(m));
-      }
-    }
-    std::atomic<std::uint64_t> delivered{0};
-    std::vector<std::thread> waiters;
-    waiters.reserve(kBoxes * kWaiters);
-    for (int b = 0; b < kBoxes; ++b) {
-      for (int w = 0; w < kWaiters; ++w) {
-        waiters.emplace_back([&, b, w] {
-          try {
-            for (;;) {
-              (void)boxes[static_cast<std::size_t>(b)]->receive(
-                  vp::MessageClass::DataParallel, 1, w, -1);
-              delivered.fetch_add(1, std::memory_order_relaxed);
-            }
-          } catch (const vp::MailboxClosed&) {
-            // benchmark teardown
-          }
-        });
-      }
-    }
-    for (auto _ : state) {
-      const std::uint64_t start = delivered.load(std::memory_order_relaxed);
-      for (int b = 0; b < kBoxes; ++b) {
-        for (int w = 0; w < kWaiters; ++w) {
-          vp::Message m;
-          m.cls = vp::MessageClass::DataParallel;
-          m.comm = 1;
-          m.tag = w;
-          m.src = 0;
-          boxes[static_cast<std::size_t>(b)]->post(std::move(m));
-        }
-      }
-      // One message per waiter was posted; spin until every one landed.
-      while (delivered.load(std::memory_order_relaxed) - start <
-             static_cast<std::uint64_t>(kBoxes * kWaiters)) {
-        std::this_thread::yield();
-      }
-    }
-    for (auto& box : boxes) box->close();
-    for (auto& t : waiters) t.join();
-    state.SetItemsProcessed(state.iterations() * kBoxes * kWaiters);
-    state.SetLabel(indexed ? "indexed" : "linear");
-    state.counters["waiters"] = kBoxes * kWaiters;
-    state.counters["noise_depth"] = kNoise;
-  }
-  vp::unforce_mailbox_mode();
-}
-BENCHMARK(BM_ContendedSelectiveReceive)
-    ->ArgName("indexed")
-    ->Arg(0)
-    ->Arg(1)
-    ->UseRealTime();
 
 }  // namespace
 

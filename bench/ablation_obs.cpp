@@ -8,23 +8,21 @@
 //
 //   (a) TDP_OBS off — the disabled path is one relaxed load + branch per
 //       instrumentation site;
-//   (b) keep-first tracing — the historical post-mortem mode: wait-free
-//       slot claims until capacity, then the drop path;
-//   (c) ring tracing — the flight recorder: every emit takes the per-shard
-//       ring mutex (uncontended by construction) and overwrites the oldest
-//       slot, so the cost never changes with run length;
-//   (d) ring + telemetry sampler — (c) plus the background sampler on an
+//   (b) ring tracing — the flight recorder: every emit takes the per-shard
+//       mutex (uncontended by construction) and overwrites the oldest slot,
+//       so the cost never changes with run length;
+//   (c) ring + telemetry sampler — (b) plus the background sampler on an
 //       aggressive 10 ms period (25x the default rate), snapshotting the
 //       registry and per-VP wait state while calls run;
-//   (e) ring + sampler + per-call attribution armed — (d) with a slow-call
+//   (d) ring + sampler + per-call attribution armed — (c) with a slow-call
 //       threshold set, so every call runs the CallTable ledger (begin,
 //       marshal/exec folds, per-delivery queue/blocked accounting, end)
 //       and the exemplar reservoir admission check.  The threshold is far
 //       above the workload's latency, so captures stop once the top-K
 //       reservoir fills — the steady-state cost, which the acceptance bar
-//       requires within noise of (d).
+//       requires within noise of (c).
 //
-// The acceptance bar for the live plane is (d) within 5% of (a).
+// The acceptance bar for the live plane is (c) within 5% of (a).
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -61,7 +59,6 @@ void obs_quiesce() {
   obs::Telemetry::instance().stop();
   obs::Telemetry::instance().reset_for_test();
   obs::set_enabled(false);
-  obs::set_trace_mode(obs::TraceMode::KeepFirst);
   obs::Tracer::instance().reset();
   obs::Registry::instance().reset_values();
   obs::CallTable::instance().reset_for_test();
@@ -73,22 +70,8 @@ void BM_CallObsOff(benchmark::State& state) {
 }
 BENCHMARK(BM_CallObsOff)->UseRealTime();
 
-void BM_CallObsKeepFirst(benchmark::State& state) {
-  obs::set_enabled(true);
-  obs::set_trace_mode(obs::TraceMode::KeepFirst);
-  obs::Tracer::instance().reset();
-  run_call_workload(state);
-  state.counters["recorded"] =
-      static_cast<double>(obs::Tracer::instance().recorded());
-  state.counters["dropped"] =
-      static_cast<double>(obs::Tracer::instance().dropped());
-  obs_quiesce();
-}
-BENCHMARK(BM_CallObsKeepFirst)->UseRealTime();
-
 void BM_CallObsRing(benchmark::State& state) {
   obs::set_enabled(true);
-  obs::set_trace_mode(obs::TraceMode::Ring);
   obs::Tracer::instance().reset();
   run_call_workload(state);
   state.counters["recorded"] =
@@ -101,7 +84,6 @@ BENCHMARK(BM_CallObsRing)->UseRealTime();
 
 void BM_CallObsRingPlusSampler(benchmark::State& state) {
   obs::set_enabled(true);
-  obs::set_trace_mode(obs::TraceMode::Ring);
   obs::Tracer::instance().reset();
   obs::Telemetry::instance().start(10);  // 25x the default sampling rate
   run_call_workload(state);
@@ -117,7 +99,6 @@ BENCHMARK(BM_CallObsRingPlusSampler)->UseRealTime();
 
 void BM_CallObsRingSamplerAttr(benchmark::State& state) {
   obs::set_enabled(true);
-  obs::set_trace_mode(obs::TraceMode::Ring);
   obs::Tracer::instance().reset();
   obs::CallTable::instance().reset_for_test();
   // Arm capture with a threshold no empty call reaches: the reservoir

@@ -25,27 +25,48 @@
 #include <utility>
 #include <vector>
 
+#include "sched/sched.hpp"
+
 namespace tdp::core {
 
 namespace detail {
 
-/// One direction of one channel: an unbounded FIFO of byte packets.
+/// One direction of one channel: an unbounded FIFO of byte packets.  A
+/// receiver on a scheduler fiber (TDP_SCHED=steal) parks as a task record
+/// instead of blocking its worker thread, so a worker count smaller than
+/// the number of blocked receivers cannot starve the senders they await.
 struct ChannelQueue {
   std::mutex mutex;
   std::condition_variable cv;
   std::deque<std::vector<std::byte>> packets;
+  std::vector<sched::TaskRef> parked;  ///< suspended fiber receivers
 
   void push(std::vector<std::byte> p) {
     {
       std::lock_guard<std::mutex> lock(mutex);
       packets.push_back(std::move(p));
+      // Under the mutex the receivers parked with: the sched::ready
+      // lifetime rule.
+      for (sched::TaskRef t : parked) sched::ready(t);
+      parked.clear();
     }
     cv.notify_all();
   }
 
   std::vector<std::byte> pop() {
     std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [&] { return !packets.empty(); });
+    if (sched::on_worker_fiber()) {
+      const sched::TaskRef self = sched::current_task();
+      while (packets.empty()) {
+        // park() may return spuriously, still registered.
+        if (std::find(parked.begin(), parked.end(), self) == parked.end()) {
+          parked.push_back(self);
+        }
+        sched::park(lock);
+      }
+    } else {
+      cv.wait(lock, [&] { return !packets.empty(); });
+    }
     std::vector<std::byte> p = std::move(packets.front());
     packets.pop_front();
     return p;

@@ -417,37 +417,6 @@ Status ArrayManager::with_shard(
   }
 }
 
-Status ArrayManager::with_sole_section(
-    int on_proc, ArrayId id,
-    const std::function<Status(ArrayRecord&, ShardSection&)>& fn) {
-  if (!machine_.valid_proc(on_proc)) return Status::Invalid;
-  const auto deadline = std::chrono::steady_clock::now() + kQuiesceTimeout;
-  for (;;) {
-    const std::uint64_t gen = route_gen();
-    {
-      Node& n = node(on_proc);
-      std::lock_guard<std::mutex> lock(n.mutex);
-      auto it = n.records.find(id);
-      if (it == n.records.end() || it->second.sections.empty()) {
-        return Status::NotFound;
-      }
-      ArrayRecord& rec = it->second;
-      // Owning several shards makes "the" local section ambiguous — which
-      // shard sections.begin() yields can change across migrations, so a
-      // read/write round-trip could silently target different data.
-      // Refuse rather than guess; callers address shards explicitly via
-      // read_shard/write_shard.
-      if (rec.sections.size() > 1) return Status::Invalid;
-      ShardSection& sec = rec.sections.begin()->second;
-      if (!sec.migrating) return fn(rec, sec);
-    }
-    // A migration holds the shard quiesced: its payload borrows the very
-    // storage `fn` would touch, so wait the migration out rather than race
-    // it.
-    if (!wait_route_change(gen, deadline)) return Status::Error;
-  }
-}
-
 Status ArrayManager::read_element(int on_proc, ArrayId id,
                                   std::span<const int> indices, Scalar& out) {
   obs::Span span(obs::Op::AmRead, 0,
@@ -645,40 +614,6 @@ Status ArrayManager::write_shard_locked(ArrayRecord& rec, ShardSection& sec,
   }
   if (obs::enabled()) am_bytes_moved().add(data.size());
   return Status::Ok;
-}
-
-Status ArrayManager::read_section(int on_proc, ArrayId id, vp::Payload& out) {
-  obs::Span span(obs::Op::AmReadSection, 0,
-                 static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
-                 &am_service_hist());
-  const Status st = [&]() -> Status {
-      out = vp::Payload();
-      return with_sole_section(
-          on_proc, id, [&](ArrayRecord& rec, ShardSection& sec) {
-            Status st = read_shard_locked(rec, sec, out);
-            if (ok(st)) span.set_arg1(out.size());
-            return st;
-          });
-
-  }();
-  return traced("read_section", on_proc, id, st);
-}
-
-Status ArrayManager::write_section(int on_proc, ArrayId id,
-                                   const vp::Payload& data) {
-  obs::Span span(obs::Op::AmWriteSection, 0,
-                 static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
-                 &am_service_hist());
-  const Status st = [&]() -> Status {
-      return with_sole_section(
-          on_proc, id, [&](ArrayRecord& rec, ShardSection& sec) {
-            Status st = write_shard_locked(rec, sec, data);
-            if (ok(st)) span.set_arg1(data.size());
-            return st;
-          });
-
-  }();
-  return traced("write_section", on_proc, id, st);
 }
 
 Status ArrayManager::read_shard(int on_proc, ArrayId id, long long shard,

@@ -192,32 +192,19 @@ class ArrayManager {
   /// am_user:find_info.
   Status find_info(int on_proc, ArrayId id, InfoKind which, InfoValue& out);
 
-  /// am_user:read_section — snapshots the interior of `on_proc`'s sole
-  /// owned shard as one immutable payload (elements in storage order,
-  /// borders stripped).  The bulk section-shipping path: the returned
+  /// Shard-addressed section read: snapshots shard `shard`'s interior as
+  /// one immutable payload (elements in storage order, borders stripped),
+  /// wherever it lives.  The bulk section-shipping path: the returned
   /// payload is refcounted, so forwarding it to any number of consumers
-  /// costs zero further copies.  When migration (or oversharding) has put
-  /// more than one shard on `on_proc`, "the" local section is ambiguous
-  /// and the request fails with Status::Invalid — address shards
-  /// explicitly via read_shard.  A shard quiesced by an in-flight
-  /// migration is waited out.
-  Status read_section(int on_proc, ArrayId id, vp::Payload& out);
-
-  /// am_user:write_section — overwrites the sole owned shard's interior on
-  /// `on_proc` from `data`, which must hold exactly
-  /// interior_count * elem_size bytes in storage order (the inverse of
-  /// read_section; borders are untouched).  Status::Invalid when `on_proc`
-  /// owns more than one shard, exactly like read_section.
-  Status write_section(int on_proc, ArrayId id, const vp::Payload& data);
-
-  /// Shard-addressed section read: snapshots shard `shard`'s interior,
-  /// wherever it lives.  When `on_proc`'s replica routes to a processor
-  /// that no longer owns the shard, the request follows the fresher owner
-  /// table there (counted in am.shard_forwards).
+  /// costs zero further copies.  When `on_proc`'s replica routes to a
+  /// processor that no longer owns the shard, the request follows the
+  /// fresher owner table there (counted in am.shard_forwards).
   Status read_shard(int on_proc, ArrayId id, long long shard,
                     vp::Payload& out);
 
-  /// Shard-addressed section write; the inverse of read_shard.
+  /// Shard-addressed section write; the inverse of read_shard.  `data`
+  /// must hold exactly interior_count * elem_size bytes in storage order
+  /// (Status::Invalid otherwise); borders are untouched.
   Status write_shard(int on_proc, ArrayId id, long long shard,
                      const vp::Payload& data);
 
@@ -331,15 +318,6 @@ class ArrayManager {
                     const std::function<Status(ArrayRecord&, ShardSection&)>&
                         fn);
 
-  /// The legacy (section-addressed) access core: runs `fn` under `on_proc`'s
-  /// node mutex with its sole owned shard.  Invalid when the processor owns
-  /// more than one shard ("the" local section would be ambiguous); a shard
-  /// quiesced by an in-flight migration is waited out like with_shard does,
-  /// so legacy traffic can never race the migration payload.
-  Status with_sole_section(
-      int on_proc, ArrayId id,
-      const std::function<Status(ArrayRecord&, ShardSection&)>& fn);
-
   /// The current route generation (bumped at every migration completion).
   std::uint64_t route_gen() const;
 
@@ -350,7 +328,7 @@ class ArrayManager {
       std::uint64_t seen_gen,
       std::chrono::steady_clock::time_point deadline) const;
 
-  /// Shared body of read_section/read_shard and write_section/write_shard.
+  /// The interior walk behind read_shard and write_shard.
   Status read_shard_locked(const ArrayRecord& rec, const ShardSection& sec,
                            vp::Payload& out);
   Status write_shard_locked(ArrayRecord& rec, ShardSection& sec,

@@ -94,33 +94,6 @@ std::any request_with_retry(vp::ServerSystem& servers, int proc,
   return std::any{};
 }
 
-}  // namespace
-
-Status read_section_request(vp::ServerSystem& servers, int proc, ArrayId id,
-                            vp::Payload& out, const RetryPolicy& policy) {
-  ReadSectionRequest params;
-  params.id = id;
-  const std::any answer =
-      request_with_retry(servers, proc, "read_section", params, policy);
-  const auto* reply = std::any_cast<ReadSectionReply>(&answer);
-  if (reply == nullptr) return Status::Error;  // attempts exhausted
-  if (ok(reply->status)) out = reply->data;
-  return reply->status;
-}
-
-Status write_section_request(vp::ServerSystem& servers, int proc, ArrayId id,
-                             vp::Payload data, const RetryPolicy& policy) {
-  WriteSectionRequest params;
-  params.id = id;
-  params.data = std::move(data);
-  const std::any answer =
-      request_with_retry(servers, proc, "write_section", params, policy);
-  const auto* reply = std::any_cast<StatusReply>(&answer);
-  return reply != nullptr ? reply->status : Status::Error;
-}
-
-namespace {
-
 /// The stale-epoch forwarding loop shared by the shard-addressed request
 /// helpers: issue against `proc`; while the reply is a forward pointer
 /// (no data, but a current owner that differs from where we asked),
@@ -248,26 +221,6 @@ void install_array_manager(vp::ServerSystem& servers, ArrayManager& manager) {
                        ? am->write_element(vp::current_proc(), p->id,
                                            p->indices, p->value)
                        : Status::Invalid;
-    req.reply.define(reply);
-  });
-
-  servers.add_capability_all("read_section", [am](vp::ServerRequest& req) {
-    const auto* p = std::any_cast<ReadSectionRequest>(&req.parameters);
-    ReadSectionReply reply;
-    if (p != nullptr) {
-      reply.status = am->read_section(vp::current_proc(), p->id, reply.data);
-    } else {
-      reply.status = Status::Invalid;
-    }
-    req.reply.define(reply);
-  });
-
-  servers.add_capability_all("write_section", [am](vp::ServerRequest& req) {
-    const auto* p = std::any_cast<WriteSectionRequest>(&req.parameters);
-    StatusReply reply;
-    reply.status = p != nullptr ? am->write_section(vp::current_proc(), p->id,
-                                                    p->data)
-                                : Status::Invalid;
     req.reply.define(reply);
   });
 

@@ -52,23 +52,6 @@ struct WriteElementRequest {
   Scalar value;
 };
 
-struct ReadSectionRequest {
-  ArrayId id;
-};
-
-/// The reply carries the section interior as a refcounted payload, so a
-/// requester that fans the snapshot out to further consumers moves only
-/// handles (the §5.1.1 bulk-shipping path).
-struct ReadSectionReply {
-  Status status = Status::Error;
-  vp::Payload data;
-};
-
-struct WriteSectionRequest {
-  ArrayId id;
-  vp::Payload data;
-};
-
 struct FindInfoRequest {
   ArrayId id;
   InfoKind which = InfoKind::Type;
@@ -124,9 +107,9 @@ struct MigrateShardRequest {
 };
 
 /// Registers the array-manager capabilities — "create_array", "free_array",
-/// "read_element", "write_element", "read_section", "write_section",
-/// "read_shard", "write_shard", "migrate_shard", "find_info",
-/// "verify_array" — on every processor of `servers`, serviced by `manager`.
+/// "read_element", "write_element", "read_shard", "write_shard",
+/// "migrate_shard", "find_info", "verify_array" — on every processor of
+/// `servers`, serviced by `manager`.
 void install_array_manager(vp::ServerSystem& servers, ArrayManager& manager);
 
 /// Bounded retry-with-backoff for server requests whose reply may never
@@ -154,25 +137,12 @@ struct RetryPolicy {
 std::uint64_t retry_backoff_ms(const RetryPolicy& policy, int proc,
                                int attempt);
 
-/// Requests processor `proc`'s section of array `id` through the server,
-/// retrying per `policy`.  Section reads are idempotent — re-issuing a
-/// request whose reply was merely lost (not unserviced) returns the same
-/// snapshot — so retry is always safe here.  Timeouts and retries are
-/// counted (fault.timeouts, fault.retries) and traced as fault.* events.
-Status read_section_request(vp::ServerSystem& servers, int proc, ArrayId id,
-                            vp::Payload& out,
-                            const RetryPolicy& policy = {});
-
-/// Overwrites processor `proc`'s section of `id` with `data` through the
-/// server, retrying per `policy`.  Idempotent for the same reason a read
-/// is: writing the same bytes twice leaves the same section.
-Status write_section_request(vp::ServerSystem& servers, int proc, ArrayId id,
-                             vp::Payload data,
-                             const RetryPolicy& policy = {});
-
 /// Reads shard `shard` of `id`, starting at processor `proc` and following
 /// forward pointers when `proc`'s owner table turns out to be stale (each
-/// hop retried per `policy`).  Idempotent, so retry is always safe.
+/// hop retried per `policy`).  Shard reads are idempotent — re-issuing a
+/// request whose reply was merely lost (not unserviced) returns the same
+/// snapshot — so retry is always safe.  Timeouts and retries are counted
+/// (fault.timeouts, fault.retries) and traced as fault.* events.
 Status read_shard_request(vp::ServerSystem& servers, int proc, ArrayId id,
                           long long shard, vp::Payload& out,
                           const RetryPolicy& policy = {});

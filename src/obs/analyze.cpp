@@ -166,9 +166,7 @@ bool load_chrome_trace(std::istream& in, std::vector<LoadedEvent>& out,
         ok = reader.parse_value(other);
         if (ok && other.type == json::Value::Type::Object) {
           meta->present = true;
-          meta->mode = other.str_or("mode");
           meta->recorded = as_u64(other.num_or("recorded", 0.0));
-          meta->dropped = as_u64(other.num_or("dropped", 0.0));
           meta->overwritten = as_u64(other.num_or("overwritten", 0.0));
         }
       } else {

@@ -31,11 +31,9 @@ namespace tdp::obs {
 /// not evidence of completeness.
 struct TraceMeta {
   bool present = false;
-  std::string mode;  ///< "keep-first" or "ring"
   std::uint64_t recorded = 0;
-  std::uint64_t dropped = 0;      ///< keep-first: events lost past capacity
-  std::uint64_t overwritten = 0;  ///< ring: events displaced by newer ones
-  bool truncated() const { return dropped != 0 || overwritten != 0; }
+  std::uint64_t overwritten = 0;  ///< events displaced by newer ones
+  bool truncated() const { return overwritten != 0; }
 };
 
 /// One event loaded back from a Chrome trace_event JSON document.

@@ -104,9 +104,9 @@ std::atomic<std::uint64_t> g_flushed_at{0};
 void write_trace_event_array(std::ostream& os,
                              const std::vector<EventRecord>& events,
                              bool thread_names) {
-  // A flow arrow needs both endpoints in the output: under keep-first
-  // drops (or an exemplar's truncated subtree) one side can be missing,
-  // and an unpaired "s"/"f" renders as a dangling arrow (and violates the
+  // A flow arrow needs both endpoints in the output: the ring may have
+  // overwritten one side (or an exemplar's subtree cut it off), and an
+  // unpaired "s"/"f" renders as a dangling arrow (and violates the
   // exactly-one-match invariant the tests enforce).  Two passes: collect
   // ids seen on each side, emit the intersection.
   std::unordered_set<std::uint64_t> origins;
@@ -169,11 +169,9 @@ void write_chrome_trace(std::ostream& os) {
   // that happened.  "otherData" is the Chrome trace_event escape hatch for
   // exactly this kind of sidecar.
   Tracer& tracer = Tracer::instance();
-  os << ",\"displayTimeUnit\":\"ms\",\"otherData\":{\"mode\":\""
-     << (tracer.mode() == TraceMode::Ring ? "ring" : "keep-first")
-     << "\",\"recorded\":" << tracer.recorded()
-     << ",\"dropped\":" << tracer.dropped()
-     << ",\"overwritten\":" << tracer.overwritten() << "}}\n";
+  os << ",\"displayTimeUnit\":\"ms\",\"otherData\":{\"recorded\":"
+     << tracer.recorded() << ",\"overwritten\":" << tracer.overwritten()
+     << "}}\n";
 }
 
 bool dump_flight_recorder(const std::string& path) {
@@ -187,21 +185,9 @@ bool dump_flight_recorder(const std::string& path) {
 void write_summary(std::ostream& os, const MachineStats* machine) {
   Tracer& tracer = Tracer::instance();
   os << "== tdp::obs summary ==\n";
-  os << "trace events: " << tracer.recorded() << " recorded, ";
-  if (tracer.mode() == TraceMode::Ring) {
-    os << tracer.overwritten() << " overwritten (ring, capacity "
-       << tracer.capacity() << ")\n";
-  } else {
-    os << tracer.dropped() << " dropped (capacity " << tracer.capacity()
-       << ")\n";
-  }
-  if (tracer.mode() == TraceMode::KeepFirst && tracer.dropped() != 0) {
-    os << "WARNING: " << tracer.dropped()
-       << " events were DROPPED past capacity — the exported trace ends "
-          "early.\n"
-       << "  Raise TDP_OBS_CAPACITY or set TDP_OBS_MODE=ring to keep the "
-          "most recent events instead.\n";
-  }
+  os << "trace events: " << tracer.recorded() << " recorded, "
+     << tracer.overwritten() << " overwritten (ring, capacity "
+     << tracer.capacity() << ")\n";
 
   std::ostringstream counters;
   std::ostringstream histograms;

@@ -47,13 +47,13 @@ void write_chrome_trace(std::ostream& os);
 /// Writes the tracer's current contents as a Chrome trace to `path` —
 /// the flight-recorder dump ("give me the last N events NOW", from a
 /// signal handler's service thread, a watchdog stall, or application
-/// code).  Safe against live emitters in ring mode.  Returns false when
+/// code).  Safe against live emitters.  Returns false when
 /// the file cannot be opened or written.
 bool dump_flight_recorder(const std::string& path);
 
-/// Writes the plain-text summary: event/drop counts, every registry counter,
-/// histogram (count, p50/p90/p99, max) and high-water gauge, and — when
-/// `machine` is given — the per-VP message table with each VP's peak
+/// Writes the plain-text summary: event/overwrite counts, every registry
+/// counter, histogram (count, p50/p90/p99, max) and high-water gauge, and —
+/// when `machine` is given — the per-VP message table with each VP's peak
 /// mailbox queue depth.
 void write_summary(std::ostream& os, const MachineStats* machine = nullptr);
 

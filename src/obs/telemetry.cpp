@@ -299,7 +299,6 @@ void Telemetry::tick_locked(std::uint64_t now) {
 
   Tracer& tracer = Tracer::instance();
   snap.trace_recorded = tracer.recorded();
-  snap.trace_dropped = tracer.dropped();
   snap.trace_overwritten = tracer.overwritten();
   snap.stalls = stalls_;
   snap.last_stall = last_stall_;
@@ -398,7 +397,6 @@ std::string Telemetry::render_prometheus() const {
     os << "tdp_call_exemplars_captured " << CallTable::instance().captured()
        << "\n";
     os << "tdp_trace_recorded " << snapshot_.trace_recorded << "\n";
-    os << "tdp_trace_dropped " << snapshot_.trace_dropped << "\n";
     os << "tdp_trace_overwritten " << snapshot_.trace_overwritten << "\n";
   }
   return os.str();
@@ -409,10 +407,7 @@ std::string Telemetry::render_json() const {
   std::lock_guard<std::mutex> lock(mutex_);
   os << "{\"ts_ms\":" << snapshot_.ts_ms << ",\"period_ms\":" << period_ms_
      << ",\"samples\":" << samples_;
-  os << ",\"trace\":{\"mode\":\""
-     << (Tracer::instance().mode() == TraceMode::Ring ? "ring" : "keep")
-     << "\",\"recorded\":" << snapshot_.trace_recorded
-     << ",\"dropped\":" << snapshot_.trace_dropped
+  os << ",\"trace\":{\"recorded\":" << snapshot_.trace_recorded
      << ",\"overwritten\":" << snapshot_.trace_overwritten << "}";
   os << ",\"stalls\":{\"count\":" << stalls_ << ",\"last\":\""
      << json::escape(last_stall_) << "\"}";

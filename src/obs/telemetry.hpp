@@ -168,7 +168,6 @@ class Telemetry {
     };
     DistState dist;
     std::uint64_t trace_recorded = 0;
-    std::uint64_t trace_dropped = 0;
     std::uint64_t trace_overwritten = 0;
     std::uint64_t stalls = 0;    ///< watchdog stall episodes so far
     std::string last_stall;      ///< first line of the latest stall report

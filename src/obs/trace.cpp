@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string_view>
-#include <thread>
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -109,8 +106,8 @@ const char* op_name(Op op) {
     case Op::AmFindLocal: return "am.find_local";
     case Op::AmFindInfo: return "am.find_info";
     case Op::AmVerify: return "am.verify_array";
-    case Op::AmReadSection: return "am.read_section";
-    case Op::AmWriteSection: return "am.write_section";
+    case Op::AmReadSection: return "am.read_shard";
+    case Op::AmWriteSection: return "am.write_shard";
     case Op::AmMigrate: return "am.migrate_shard";
     case Op::AmRebalance: return "am.rebalance";
     case Op::AmShardForward: return "am.shard_forward";
@@ -198,41 +195,6 @@ const char* op_category(Op op) {
 
 namespace {
 
-// -1 = no override; read TDP_OBS_MODE (cached) instead.
-std::atomic<int> g_mode_override{-1};
-
-TraceMode mode_from_env() {
-  static const TraceMode cached = [] {
-    const char* env = std::getenv("TDP_OBS_MODE");
-    if (env == nullptr || env[0] == '\0') return TraceMode::KeepFirst;
-    const std::string_view v(env);
-    if (v == "ring") return TraceMode::Ring;
-    if (v == "keep" || v == "keep-first" || v == "first") {
-      return TraceMode::KeepFirst;
-    }
-    std::fprintf(stderr,
-                 "tdp::obs: unknown TDP_OBS_MODE '%s' (want keep|ring); "
-                 "using keep-first\n",
-                 env);
-    return TraceMode::KeepFirst;
-  }();
-  return cached;
-}
-
-}  // namespace
-
-TraceMode trace_mode() {
-  const int forced = g_mode_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<TraceMode>(forced);
-  return mode_from_env();
-}
-
-void set_trace_mode(TraceMode mode) {
-  g_mode_override.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-namespace {
-
 std::size_t default_shard_capacity() {
   // TDP_OBS_CAPACITY is the total record budget across all shards.
   // Checked parse: garbage and non-positive budgets warn and keep the
@@ -246,84 +208,38 @@ std::size_t default_shard_capacity() {
 
 }  // namespace
 
-Tracer::Tracer()
-    : shard_capacity_(default_shard_capacity()), mode_(trace_mode()) {}
+Tracer::Tracer() : shard_capacity_(default_shard_capacity()) {}
 
 Tracer& Tracer::instance() {
   static Tracer tracer;
   return tracer;
 }
 
-EventRecord* Tracer::slots_for(Shard& s) {
-  EventRecord* p = s.slots.load(std::memory_order_acquire);
-  if (p != nullptr) return p;
-  // Lazy allocation keeps the disabled/unused footprint at zero; a losing
-  // CAS frees its buffer, so each shard allocates exactly once.
-  EventRecord* fresh = new EventRecord[shard_capacity_]();
-  if (s.slots.compare_exchange_strong(p, fresh, std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-    return fresh;
-  }
-  delete[] fresh;
-  return p;
-}
-
 void Tracer::emit(const EventRecord& rec) {
   Shard& s = shards_[shard_index(rec.vp)];
-  if (mode_ == TraceMode::Ring) {
-    // Flight recorder: overwrite the oldest slot.  The shard mutex is
-    // held only for the 56-byte copy and two plain stores; each shard is
-    // effectively owned by one VP's thread, so this is uncontended.
-    EventRecord* slots = slots_for(s);
-    std::lock_guard<std::mutex> lock(s.ring_mutex);
-    const std::uint64_t claim = s.head.load(std::memory_order_relaxed);
-    slots[claim % shard_capacity_] = rec;
-    s.head.store(claim + 1, std::memory_order_relaxed);
-    s.committed.store(claim + 1, std::memory_order_relaxed);
-    return;
-  }
-  const std::uint64_t claim = s.head.fetch_add(1, std::memory_order_relaxed);
-  if (claim >= shard_capacity_) {
-    s.dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  slots_for(s)[claim] = rec;
-  // Release RMW: a reader that observes committed == n synchronises with
-  // every writer in the release sequence, making all n records visible.
-  s.committed.fetch_add(1, std::memory_order_release);
+  // Overwrite the oldest slot.  The shard mutex is held only for the
+  // 56-byte copy and one store; each shard is effectively owned by one VP's
+  // thread, so this is uncontended.  Lazy allocation keeps the
+  // disabled/unused footprint at zero.
+  std::lock_guard<std::mutex> lock(s.mutex);
+  if (s.slots == nullptr) s.slots = new EventRecord[shard_capacity_]();
+  const std::uint64_t claim = s.head.load(std::memory_order_relaxed);
+  s.slots[claim % shard_capacity_] = rec;
+  s.head.store(claim + 1, std::memory_order_relaxed);
 }
 
 std::vector<EventRecord> Tracer::snapshot() const {
   std::vector<EventRecord> out;
   for (Shard& s : shards_) {
-    if (mode_ == TraceMode::Ring) {
-      // Under the shard mutex the ring is consistent even against live
-      // emitters; copy oldest-first.
-      std::lock_guard<std::mutex> lock(s.ring_mutex);
-      const EventRecord* slots = s.slots.load(std::memory_order_acquire);
-      if (slots == nullptr) continue;
-      const std::uint64_t head = s.head.load(std::memory_order_relaxed);
-      const std::uint64_t n = std::min<std::uint64_t>(head, shard_capacity_);
-      for (std::uint64_t i = head - n; i < head; ++i) {
-        const EventRecord& rec = slots[i % shard_capacity_];
-        if (rec.op != Op::None) out.push_back(rec);
-      }
-      continue;
-    }
-    const std::uint64_t head = s.head.load(std::memory_order_acquire);
+    // Under the shard mutex the ring is consistent even against live
+    // emitters; copy oldest-first.
+    std::lock_guard<std::mutex> lock(s.mutex);
+    if (s.slots == nullptr) continue;
+    const std::uint64_t head = s.head.load(std::memory_order_relaxed);
     const std::uint64_t n = std::min<std::uint64_t>(head, shard_capacity_);
-    if (n == 0) continue;
-    // At a quiescent point committed catches up to n; bound the wait so a
-    // misuse (snapshot during emission) degrades instead of hanging.
-    for (int spin = 0;
-         s.committed.load(std::memory_order_acquire) < n && spin < 10000;
-         ++spin) {
-      std::this_thread::yield();
-    }
-    const EventRecord* slots = s.slots.load(std::memory_order_acquire);
-    if (slots == nullptr) continue;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (slots[i].op != Op::None) out.push_back(slots[i]);
+    for (std::uint64_t i = head - n; i < head; ++i) {
+      const EventRecord& rec = s.slots[i % shard_capacity_];
+      if (rec.op != Op::None) out.push_back(rec);
     }
   }
   std::sort(out.begin(), out.end(),
@@ -336,21 +252,12 @@ std::vector<EventRecord> Tracer::snapshot() const {
 std::uint64_t Tracer::recorded() const {
   std::uint64_t total = 0;
   for (const Shard& s : shards_) {
-    total += s.committed.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-std::uint64_t Tracer::dropped() const {
-  std::uint64_t total = 0;
-  for (const Shard& s : shards_) {
-    total += s.dropped.load(std::memory_order_relaxed);
+    total += s.head.load(std::memory_order_relaxed);
   }
   return total;
 }
 
 std::uint64_t Tracer::overwritten() const {
-  if (mode_ != TraceMode::Ring) return 0;
   std::uint64_t total = 0;
   for (const Shard& s : shards_) {
     const std::uint64_t head = s.head.load(std::memory_order_relaxed);
@@ -361,12 +268,11 @@ std::uint64_t Tracer::overwritten() const {
 
 void Tracer::reset(std::size_t capacity_per_shard) {
   if (capacity_per_shard > 0) shard_capacity_ = capacity_per_shard;
-  mode_ = trace_mode();
   for (Shard& s : shards_) {
-    delete[] s.slots.exchange(nullptr, std::memory_order_acq_rel);
+    std::lock_guard<std::mutex> lock(s.mutex);
+    delete[] s.slots;
+    s.slots = nullptr;
     s.head.store(0, std::memory_order_relaxed);
-    s.committed.store(0, std::memory_order_relaxed);
-    s.dropped.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -3,35 +3,29 @@
 // The thesis's performance chapters (distributed-call overhead, array-manager
 // cost, reduction trees) attribute cost to a virtual processor, a
 // communicator, and a phase of a distributed call.  This module is the
-// substrate for that attribution: a sharded, lock-free buffer of fixed-size
-// POD event records plus RAII span helpers, designed so that
+// substrate for that attribution: a sharded buffer of fixed-size POD event
+// records plus RAII span helpers, designed so that
 //
 //  * the *disabled* path is a single relaxed atomic load and branch
 //    (TDP_OBS unset), and can be compiled out entirely (-DTDP_OBS_DISABLED,
 //    CMake -DTDP_OBS_ENABLE=OFF);
-//  * the *enabled* path is wait-free per event: claim a slot with one
-//    fetch_add, write the record, publish with one release fetch_add.  No
-//    mutex is ever taken while emitting, so instrumentation may run inside
-//    the mailbox monitor without lock-order concerns;
-//  * records are kept first-come: once a shard is full further events are
-//    counted as dropped rather than overwriting earlier ones, which keeps
-//    every slot single-writer (the property that makes the tracer TSan-clean
-//    and loss-free up to capacity).
+//  * the *enabled* path copies one record into its shard under a tiny
+//    per-shard mutex.  The mutex is a leaf (nothing else is locked under
+//    it), so instrumentation may run inside the mailbox monitor without
+//    lock-order concerns.
 //
 // Shards are selected by the emitting thread's virtual-processor placement
 // (obs::current_vp — the canonical thread-local behind vp::current_proc),
-// so concurrent virtual processors do not contend on one buffer head.
+// so concurrent virtual processors do not contend on one buffer head: one VP
+// per shard up to 64 VPs, i.e. the shard mutex is effectively uncontended.
 //
-// Flight-recorder mode (TDP_OBS_MODE=ring) inverts the retention policy:
-// each shard becomes a ring that keeps the *last* N events, so a
+// Each shard is a flight-recorder ring that keeps the *last* N events, so a
 // long-running service always has recent history to dump on demand
 // (SIGUSR1, a watchdog stall, or obs::dump_flight_recorder) instead of
-// going blind after the first TDP_OBS_CAPACITY events.  Overwriting makes
-// slots multi-writer, so the ring path serialises each shard's emit under
-// a tiny per-shard mutex — contended only by threads that map to the same
-// shard (one VP per shard up to 64 VPs), i.e. effectively never — which
-// keeps the mode TSan-clean by construction.  Keep-first mode stays on the
-// wait-free lock-free path.
+// going blind after the first TDP_OBS_CAPACITY events.  Displaced events are
+// counted as overwritten — the trace's single truncation signal.  Because
+// the shard mutex also guards snapshot reads, a snapshot of a live service
+// is consistent per shard and TSan-clean by construction.
 #pragma once
 
 #include <atomic>
@@ -69,8 +63,8 @@ enum class Op : std::uint16_t {
   AmFindLocal,     ///< array manager: find_local
   AmFindInfo,      ///< array manager: find_info
   AmVerify,        ///< array manager: verify_array
-  AmReadSection,   ///< array manager: read_section (bulk interior snapshot)
-  AmWriteSection,  ///< array manager: write_section (bulk interior overwrite)
+  AmReadSection,   ///< array manager: read_shard (bulk interior snapshot)
+  AmWriteSection,  ///< array manager: write_shard (bulk interior overwrite)
   AmMigrate,       ///< array manager: migrate_shard (arg1 = payload bytes)
   AmRebalance,     ///< array manager: rebalance (arg1 = shards moved)
   AmShardForward,  ///< a stale owner table re-routed a shard request
@@ -155,25 +149,6 @@ void set_enabled(bool on);
 /// Nanoseconds since the process's trace epoch (steady clock).
 std::uint64_t now_ns();
 
-/// Trace retention policy (TDP_OBS_MODE).  KeepFirst is the historical
-/// post-mortem behaviour: fill the buffer once, count everything after as
-/// dropped.  Ring is the flight recorder: keep the most recent events,
-/// count everything displaced as overwritten.
-enum class TraceMode : int {
-  KeepFirst = 0,
-  Ring = 1,
-};
-
-/// The mode new Tracer state uses: a set_trace_mode() override if one is in
-/// effect, else TDP_OBS_MODE from the environment ("keep"/"ring", cached on
-/// first read; unknown values warn once and fall back to keep-first).
-TraceMode trace_mode();
-
-/// Programmatic override of TDP_OBS_MODE (tests, benches, embedders).  NOT
-/// thread-safe versus concurrent emitters — call at startup or between
-/// runs, like Tracer::reset.
-void set_trace_mode(TraceMode mode);
-
 /// A fresh causal flow id, never 0.  Composed of the process's launch
 /// rank (when TDP_RANK is set), the calling thread's virtual-processor
 /// shard, and that shard's monotonic send sequence
@@ -183,9 +158,8 @@ void set_trace_mode(TraceMode mode);
 /// into the message envelope.
 std::uint64_t next_flow_id();
 
-/// The process-wide trace buffer: kShards independent fixed-capacity
-/// single-use buffers.  Emitting is wait-free; reading (snapshot) is meant
-/// for quiescent points — export at Runtime shutdown, tests after join.
+/// The process-wide trace buffer: kShards independent fixed-capacity rings.
+/// Emitting and reading (snapshot) are both safe on a live service.
 class Tracer {
  public:
   static constexpr std::size_t kShards = 64;
@@ -195,50 +169,38 @@ class Tracer {
   /// Records one event (caller has already checked enabled()).
   void emit(const EventRecord& rec);
 
-  /// All committed records, merged across shards and sorted by timestamp.
-  /// In keep-first mode call only when emitters are quiescent; in ring mode
-  /// the per-shard mutex makes a concurrent snapshot safe (each shard is
+  /// All retained records, merged across shards and sorted by timestamp.
+  /// The per-shard mutex makes a concurrent snapshot safe (each shard is
   /// internally consistent; cross-shard skew is bounded by the copy time),
   /// which is what lets the flight recorder dump a *live* service.
   std::vector<EventRecord> snapshot() const;
 
   std::uint64_t recorded() const;     ///< events stored (ever)
-  std::uint64_t dropped() const;      ///< keep-first: events lost past capacity
-  std::uint64_t overwritten() const;  ///< ring: events displaced by newer ones
-
-  /// The retention policy this tracer is currently using.
-  TraceMode mode() const { return mode_; }
+  std::uint64_t overwritten() const;  ///< events displaced by newer ones
 
   /// Total record capacity across shards.
   std::size_t capacity() const { return shard_capacity_ * kShards; }
 
-  /// Clears all shards; `capacity_per_shard` > 0 also resizes them.  The
-  /// retention mode is re-read from trace_mode() (so set_trace_mode takes
-  /// effect on the next reset).  NOT thread-safe versus concurrent
-  /// emitters — tests and startup only.
+  /// Clears all shards; `capacity_per_shard` > 0 also resizes them.  NOT
+  /// thread-safe versus concurrent emitters — tests and startup only.
   void reset(std::size_t capacity_per_shard = 0);
 
  private:
   Tracer();
 
   struct alignas(64) Shard {
-    std::atomic<EventRecord*> slots{nullptr};  // lazily allocated
-    std::atomic<std::uint64_t> head{0};        // claims (may exceed capacity)
-    std::atomic<std::uint64_t> committed{0};   // fully-written records
-    std::atomic<std::uint64_t> dropped{0};
-    /// Ring mode only: serialises slot writes (overwrites make slots
-    /// multi-writer) and snapshot reads against them.  Never touched on
-    /// the keep-first path.
-    std::mutex ring_mutex;
+    /// Serialises slot writes (overwrites make slots multi-writer) and
+    /// snapshot reads against them.
+    std::mutex mutex;
+    EventRecord* slots = nullptr;        // lazily allocated under mutex
+    std::atomic<std::uint64_t> head{0};  // events ever emitted here
   };
 
-  EventRecord* slots_for(Shard& s);
   static std::size_t shard_index(int vp) {
     return vp >= 0 ? static_cast<std::size_t>(vp) % kShards : kShards - 1;
   }
 
   std::size_t shard_capacity_;
-  TraceMode mode_;
   mutable Shard shards_[kShards];
 };
 

@@ -42,12 +42,6 @@ std::uint64_t Watchdog::env_period_ms() {
                     std::numeric_limits<long long>::max()));
 }
 
-std::uint64_t Watchdog::env_dump_cooldown_ms() {
-  return static_cast<std::uint64_t>(
-      util::env_int("TDP_OBS_DUMP_COOLDOWN_MS", 30000, 0,
-                    std::numeric_limits<long long>::max()));
-}
-
 void Watchdog::reset_auto_dump_cooldown() {
   std::lock_guard<std::mutex> lock(mutex_);
   last_auto_dump_ns_ = 0;
@@ -176,24 +170,19 @@ void Watchdog::sample(std::uint64_t now) {
     } else {
       util::atomic_print_err(report.str());
     }
-    // A stall is exactly the moment the flight recorder exists for: in
-    // ring mode, dump the recent past before the operator even asks.
-    // Keep-first runs (the test suites deliberately provoke stalls under
-    // a 100 ms watchdog) stay file-quiet.  Auto-dumps are rate-limited:
-    // the dump overwrites <prefix>.* in place, so a flapping stall
-    // re-dumping every episode would destroy the evidence of the first
-    // one and churn disk for as long as the flap lasts.
-    if (Tracer::instance().mode() == TraceMode::Ring) {
-      const std::uint64_t cooldown_ns = env_dump_cooldown_ms() * 1000000ull;
-      if (last_auto_dump_ns_ == 0 || cooldown_ns == 0 ||
-          now >= last_auto_dump_ns_ + cooldown_ns) {
-        last_auto_dump_ns_ = now;
-        request_flight_dump();
-      } else {
-        static ShardedCounter& suppressed =
-            Registry::instance().counter("watchdog.dumps_suppressed");
-        suppressed.add();
-      }
+    // A stall is exactly the moment the flight recorder exists for: dump
+    // the recent past before the operator even asks.  Auto-dumps are
+    // rate-limited: the dump overwrites <prefix>.* in place, so a flapping
+    // stall re-dumping every episode would destroy the evidence of the
+    // first one and churn disk for as long as the flap lasts.
+    if (last_auto_dump_ns_ == 0 ||
+        now >= last_auto_dump_ns_ + kAutoDumpCooldownNs) {
+      last_auto_dump_ns_ = now;
+      request_flight_dump();
+    } else {
+      static ShardedCounter& suppressed =
+          Registry::instance().counter("watchdog.dumps_suppressed");
+      suppressed.add();
     }
   }
   last_progress_ = progress;

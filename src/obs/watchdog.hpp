@@ -118,11 +118,6 @@ class Watchdog {
   /// TDP_OBS_WATCHDOG_MS from the environment, 0 when unset/invalid.
   static std::uint64_t env_period_ms();
 
-  /// TDP_OBS_DUMP_COOLDOWN_MS from the environment (minimum spacing of
-  /// stall auto-dumps; 0 disables the cooldown), default 30000 when unset
-  /// or invalid.  Read per stall, not cached, so tests can flip it.
-  static std::uint64_t env_dump_cooldown_ms();
-
   /// Forgets the last stall auto-dump time, so the next stall dumps
   /// regardless of the cooldown.  Tests only.
   void reset_auto_dump_cooldown();
@@ -151,8 +146,11 @@ class Watchdog {
   std::thread thread_;
   std::uint64_t period_ms_ = 0;
   std::uint64_t last_progress_ = 0;
+  /// Minimum spacing of stall auto-dumps (30 s).
+  static constexpr std::uint64_t kAutoDumpCooldownNs = 30'000'000'000ull;
+
   /// now_ns() of the last stall auto-dump; stall episodes inside the
-  /// TDP_OBS_DUMP_COOLDOWN_MS window after it report but do not dump
+  /// kAutoDumpCooldownNs window after it report but do not dump
   /// (counted in watchdog.dumps_suppressed) — a flapping stall must not
   /// rewrite the flight dump every period, destroying the evidence of the
   /// first episode.

@@ -60,7 +60,7 @@ SchedMode env_sched_mode() {
     if (env == nullptr || env[0] == '\0') return SchedMode::Thread;
     if (std::strcmp(env, "thread") == 0) return SchedMode::Thread;
     if (std::strcmp(env, "steal") == 0) return SchedMode::Steal;
-    // Mirror the guarded env parsing in mailbox.cpp: a typo must be
+    // Mirror the guarded env parsing in coll.cpp: a typo must be
     // reported, never silently remapped.
     std::fprintf(stderr,
                  "tdp::sched: ignoring unknown TDP_SCHED \"%s\"; valid "

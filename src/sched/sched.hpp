@@ -16,10 +16,10 @@
 //  * a dedicated timer thread services deadline waits (receive_for,
 //    Def::read_for) for suspended tasks.
 //
-// Mode selection mirrors TDP_MAILBOX: TDP_SCHED=steal|thread, snapshotted
-// per spawn, with force/unforce overrides for tests and benches.  The
-// default is the legacy thread lane — steal is opted into per run (CI
-// exercises the full suite under both).
+// Mode selection: TDP_SCHED=steal|thread, snapshotted per spawn, with
+// force/unforce overrides for tests and benches.  The default is the legacy
+// thread lane — steal is opted into per run (CI exercises the full suite
+// under both).
 //
 // Park/unpark protocol (the core of the rewire): each task carries an
 // atomic state {Running, Parking, Parked, Notified}.  park() flags

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include "obs/attr.hpp"
@@ -16,26 +13,6 @@ namespace tdp::vp {
 
 namespace {
 
-// -1 = no force() override; else the MailboxMode value.
-std::atomic<int> g_forced_mode{-1};
-
-MailboxMode env_mode() {
-  static const MailboxMode parsed = [] {
-    const char* env = std::getenv("TDP_MAILBOX");
-    if (env == nullptr || env[0] == '\0') return MailboxMode::Indexed;
-    if (std::strcmp(env, "indexed") == 0) return MailboxMode::Indexed;
-    if (std::strcmp(env, "linear") == 0) return MailboxMode::Linear;
-    // Mirror the guarded env parsing in coll.cpp/watchdog.cpp: a typo must
-    // be reported, never silently remapped.
-    std::fprintf(stderr,
-                 "tdp::vp: ignoring unknown TDP_MAILBOX \"%s\"; valid "
-                 "values are \"indexed\" and \"linear\" (using indexed)\n",
-                 env);
-    return MailboxMode::Indexed;
-  }();
-  return parsed;
-}
-
 obs::ShardedCounter& wakeup_counter() {
   static obs::ShardedCounter& c =
       obs::Registry::instance().counter("mailbox.wakeups");
@@ -43,20 +20,6 @@ obs::ShardedCounter& wakeup_counter() {
 }
 
 }  // namespace
-
-MailboxMode mailbox_mode() {
-  const int forced = g_forced_mode.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<MailboxMode>(forced);
-  return env_mode();
-}
-
-void force_mailbox_mode(MailboxMode m) {
-  g_forced_mode.store(static_cast<int>(m), std::memory_order_relaxed);
-}
-
-void unforce_mailbox_mode() {
-  g_forced_mode.store(-1, std::memory_order_relaxed);
-}
 
 Mailbox::~Mailbox() {
   close();
@@ -93,26 +56,21 @@ void Mailbox::post(Message m) {
   queue_.emplace(seq, std::move(m));
   const std::size_t depth = queue_.size();
 
-  if (mode_ == MailboxMode::Linear) {
-    // Legacy behaviour: every post wakes every waiter; each rescans.
-    wake_all_locked();
-  } else {
-    // Targeted wakeup: the first registered waiter in this bucket whose src
-    // filter admits the message, if any is still asleep.  Waiters already
-    // notified will rescan anyway; waking a second one for the same message
-    // would just bounce it off an empty scan.
-    for (Waiter* w : bucket.waiters) {
-      if (!w->notified && (w->src < 0 || w->src == src)) {
-        wake_waiter_locked(*w);
-        break;
-      }
+  // Targeted wakeup: the first registered waiter in this bucket whose src
+  // filter admits the message, if any is still asleep.  Waiters already
+  // notified will rescan anyway; waking a second one for the same message
+  // would just bounce it off an empty scan.
+  for (Waiter* w : bucket.waiters) {
+    if (!w->notified && (w->src < 0 || w->src == src)) {
+      wake_waiter_locked(*w);
+      break;
     }
-    // Opaque predicates are unknowable to the index: every one of them
-    // might match this message, so all of them get woken (the legacy lane).
-    for (Waiter* w : scan_waiters_) {
-      if (!w->notified) {
-        wake_waiter_locked(*w);
-      }
+  }
+  // Opaque predicates are unknowable to the index: every one of them might
+  // match this message, so all of them get woken (the scan lane).
+  for (Waiter* w : scan_waiters_) {
+    if (!w->notified) {
+      wake_waiter_locked(*w);
     }
   }
   if (obs_on) {
@@ -132,40 +90,22 @@ void Mailbox::post(Message m) {
 }
 
 Message Mailbox::receive(const Predicate& match) {
-  return receive_scan(match, nullptr, 0);
+  return receive_scan(match, 0);
 }
 
 Message Mailbox::receive(MessageClass cls, std::uint64_t comm, int tag,
                          int src) {
-  const WaitDetail detail{cls, comm, tag, src};
-  if (mode_ == MailboxMode::Linear) {
-    return receive_scan(
-        [=](const Message& m) {
-          return m.cls == cls && m.comm == comm && m.tag == tag &&
-                 (src < 0 || m.src == src);
-        },
-        &detail, 0);
-  }
-  return receive_indexed(detail, 0);
+  return receive_indexed(WaitDetail{cls, comm, tag, src}, 0);
 }
 
 Message Mailbox::receive_for(const Predicate& match,
                              std::uint64_t timeout_ms) {
-  return receive_scan(match, nullptr, timeout_ms);
+  return receive_scan(match, timeout_ms);
 }
 
 Message Mailbox::receive_for(MessageClass cls, std::uint64_t comm, int tag,
                              int src, std::uint64_t timeout_ms) {
-  const WaitDetail detail{cls, comm, tag, src};
-  if (mode_ == MailboxMode::Linear) {
-    return receive_scan(
-        [=](const Message& m) {
-          return m.cls == cls && m.comm == comm && m.tag == tag &&
-                 (src < 0 || m.src == src);
-        },
-        &detail, timeout_ms);
-  }
-  return receive_indexed(detail, timeout_ms);
+  return receive_indexed(WaitDetail{cls, comm, tag, src}, timeout_ms);
 }
 
 void Mailbox::throw_timeout(const WaitDetail* detail,
@@ -463,7 +403,6 @@ Message Mailbox::receive_indexed(const WaitDetail& detail,
 }
 
 Message Mailbox::receive_scan(const Predicate& match,
-                              const WaitDetail* detail,
                               std::uint64_t timeout_ms) {
   static obs::Histogram& wait_hist =
       obs::Registry::instance().histogram("mailbox.recv_wait_ns");
@@ -488,7 +427,7 @@ Message Mailbox::receive_scan(const Predicate& match,
 
   bool timed_out = false;
   for (;;) {
-    // The legacy lane scans every queued message in arrival order — the
+    // The scan lane examines every queued message in arrival order — the
     // map is keyed by the arrival seq, so iteration order IS arrival order.
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
       if (match(it->second)) {
@@ -512,13 +451,13 @@ Message Mailbox::receive_scan(const Predicate& match,
     }
     if (timed_out) {
       if (obs_on) note_unblock_locked();
-      throw_timeout(detail, timeout_ms);
+      throw_timeout(nullptr, timeout_ms);
     }
     if (!w.registered) {
       scan_waiters_.push_back(&w);
       w.registered = true;
     }
-    note_block_locked(detail, obs_on);
+    note_block_locked(nullptr, obs_on);
     wait_state_.blocked_waiters.fetch_add(1, std::memory_order_relaxed);
     wait_waiter_locked(lock, w, timeout_ms, deadline, timed_out);
     wait_state_.blocked_waiters.fetch_sub(1, std::memory_order_relaxed);

@@ -19,10 +19,8 @@
 // blocked receiver registers a waiter record with a private condition-variable
 // slot, and post() wakes only waiters whose match tuple admits the new
 // message.  A waiter keeps a scan cursor so it never re-examines messages it
-// already rejected.  Opaque-predicate receives fall back to a legacy
-// any-message lane that scans the whole queue in arrival order; setting
-// TDP_MAILBOX=linear routes every receive through that lane with
-// broadcast wakeups — the pre-index behaviour, kept as the A/B baseline.
+// already rejected.  Opaque-predicate receives fall back to an any-message
+// lane that scans the whole queue in arrival order.
 #pragma once
 
 #include <chrono>
@@ -114,27 +112,6 @@ class ReceiveTimeout : public std::runtime_error {
   int src;
 };
 
-/// Receive-path implementation family: Indexed is the per-bucket targeted-
-/// wakeup design; Linear is the pre-index one-queue/broadcast-wakeup path,
-/// kept for A/B measurement (bench/ablation_mailbox).
-enum class MailboxMode : int {
-  Indexed = 0,
-  Linear = 1,
-};
-
-/// The mode new mailboxes snapshot at construction: a force_mailbox_mode()
-/// override if one is in effect, else TDP_MAILBOX from the environment
-/// ("indexed"/"linear", cached on first read; unknown values warn and fall
-/// back to indexed).
-MailboxMode mailbox_mode();
-
-/// Programmatic override of TDP_MAILBOX (benches, tests).  Affects only
-/// mailboxes constructed afterwards — a live mailbox never switches mode.
-void force_mailbox_mode(MailboxMode m);
-
-/// Removes the override; mailbox_mode() reads the environment again.
-void unforce_mailbox_mode();
-
 /// One processor's incoming message queue.  Many senders, selective
 /// receivers.  All operations are thread-safe.
 class Mailbox {
@@ -144,8 +121,7 @@ class Mailbox {
   /// `owner` is the processor number this mailbox belongs to (-1 when the
   /// mailbox is free-standing, e.g. in tests); used only to attribute
   /// observability events to the owning virtual processor.
-  explicit Mailbox(int owner = -1)
-      : owner_(owner), mode_(mailbox_mode()) {}
+  explicit Mailbox(int owner = -1) : owner_(owner) {}
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
 
@@ -164,7 +140,7 @@ class Mailbox {
 
   /// Blocks until a queued message satisfies `match`, removes and returns
   /// it.  Messages that do not match stay queued in arrival order.  Opaque
-  /// predicates always use the legacy scan lane: every post must wake them
+  /// predicates always use the scan lane: every post must wake them
   /// because no index can prove a message uninteresting to them.
   Message receive(const Predicate& match);
 
@@ -191,9 +167,8 @@ class Mailbox {
   /// One-line rendering of the queued messages ("3 pending: [cls=data
   /// comm=7 tag=1 src=0 flow=... 16B] ..."), capped at a few entries; the
   /// stall watchdog's "what was available but did not match" report.  The
-  /// messages walk the buckets in arrival order via the global sequence
-  /// number, so the rendering is identical across mailbox modes.  The
-  /// flow id lets a stall report be cross-referenced with the exported
+  /// messages are listed in arrival order via the global sequence number.
+  /// The flow id lets a stall report be cross-referenced with the exported
   /// trace's send→receive arrows.
   std::string describe_pending() const;
 
@@ -209,9 +184,6 @@ class Mailbox {
 
   /// Wakes all waiting receivers with MailboxClosed; used at teardown.
   void close();
-
-  /// The receive-path family this mailbox snapshotted at construction.
-  MailboxMode mode() const { return mode_; }
 
  private:
   /// What a blocked selective receive is waiting for, published to the
@@ -275,8 +247,7 @@ class Mailbox {
   using BucketMap = std::unordered_map<BucketKey, Bucket, BucketKeyHash>;
 
   Message receive_indexed(const WaitDetail& detail, std::uint64_t timeout_ms);
-  Message receive_scan(const Predicate& match, const WaitDetail* detail,
-                       std::uint64_t timeout_ms);
+  Message receive_scan(const Predicate& match, std::uint64_t timeout_ms);
   /// Removes `seq` (holding message `m`) from its bucket and the arrival
   /// map; caller holds mutex_ and has already located the message.
   void unlink_from_bucket_locked(const Message& m, std::uint64_t seq);
@@ -312,7 +283,6 @@ class Mailbox {
                                   std::uint64_t timeout_ms);
 
   const int owner_;
-  const MailboxMode mode_;
   mutable std::mutex mutex_;
   std::condition_variable drain_cv_;  ///< ~Mailbox waits for waiters_ == 0
   /// All undelivered messages keyed by arrival sequence number — the
@@ -320,7 +290,7 @@ class Mailbox {
   std::map<std::uint64_t, Message> queue_;
   /// Per-(class, comm, tag) index into queue_; seqs mirror membership.
   BucketMap buckets_;
-  std::vector<Waiter*> scan_waiters_;  ///< opaque / linear-mode receivers
+  std::vector<Waiter*> scan_waiters_;  ///< opaque-predicate receivers
   std::uint64_t next_seq_ = 0;
   bool closed_ = false;
   int waiters_ = 0;  ///< receivers inside a receive path; drained by ~Mailbox

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -360,7 +361,8 @@ TEST_F(ArrayManagerTest, ForeignBordersWithoutProviderIsInvalid) {
 }
 
 TEST_F(ArrayManagerTest, ReadSectionSnapshotsInteriorAsPayload) {
-  // 16 elements blocked over 4 owners: each local section holds 4 doubles.
+  // 16 elements blocked over 4 owners: each shard (local section) holds 4
+  // doubles, and shard k starts on processor k.
   ArrayId id = make_vector(16, util::iota_nodes(4));
   for (int i = 0; i < 16; ++i) {
     ASSERT_EQ(am_.write_element(0, id, std::vector<int>{i},
@@ -369,7 +371,7 @@ TEST_F(ArrayManagerTest, ReadSectionSnapshotsInteriorAsPayload) {
   }
   for (int owner = 0; owner < 4; ++owner) {
     vp::Payload snap;
-    ASSERT_EQ(am_.read_section(owner, id, snap), Status::Ok);
+    ASSERT_EQ(am_.read_shard(owner, id, owner, snap), Status::Ok);
     ASSERT_EQ(snap.size(), 4 * sizeof(double));
     const double* vals = reinterpret_cast<const double*>(snap.data());
     for (int k = 0; k < 4; ++k) {
@@ -388,7 +390,7 @@ TEST_F(ArrayManagerTest, WriteSectionOverwritesInteriorAndValidatesSize) {
   std::vector<std::byte> bytes(4 * sizeof(double));
   double vals[4] = {1.5, 2.5, 3.5, 4.5};
   std::memcpy(bytes.data(), vals, sizeof(vals));
-  ASSERT_EQ(am_.write_section(2, id, vp::Payload::take(std::move(bytes))),
+  ASSERT_EQ(am_.write_shard(2, id, 2, vp::Payload::take(std::move(bytes))),
             Status::Ok);
   for (int k = 0; k < 4; ++k) {
     Scalar out;
@@ -397,17 +399,26 @@ TEST_F(ArrayManagerTest, WriteSectionOverwritesInteriorAndValidatesSize) {
     EXPECT_EQ(scalar_to_double(out), vals[k]);
   }
   // Wrong size: rejected, nothing written.
-  EXPECT_EQ(am_.write_section(2, id, vp::Payload::zeros(7)), Status::Invalid);
-  // Non-owner (creator without a section) and unknown arrays: NotFound.
+  EXPECT_EQ(am_.write_shard(2, id, 2, vp::Payload::zeros(7)),
+            Status::Invalid);
+  for (int k = 0; k < 4; ++k) {
+    Scalar out;
+    ASSERT_EQ(am_.read_element(0, id, std::vector<int>{8 + k}, out),
+              Status::Ok);
+    EXPECT_EQ(scalar_to_double(out), vals[k]);
+  }
+  // A shard outside the grid is Invalid; a processor holding no replica of
+  // the array gets NotFound.
   vp::Payload snap;
-  EXPECT_EQ(am_.read_section(5, id, snap), Status::NotFound);
-  EXPECT_EQ(am_.write_section(5, id, vp::Payload::zeros(4 * sizeof(double))),
+  EXPECT_EQ(am_.read_shard(2, id, 4, snap), Status::Invalid);
+  EXPECT_EQ(am_.read_shard(5, id, 2, snap), Status::NotFound);
+  EXPECT_EQ(am_.write_shard(5, id, 2, vp::Payload::zeros(4 * sizeof(double))),
             Status::NotFound);
 }
 
 TEST_F(ArrayManagerTest, SectionRoundTripStripsBorders) {
   // Borders of one element on each side: the section's storage is larger
-  // than its interior, so read/write_section must walk the interior only.
+  // than its interior, so read/write_shard must walk the interior only.
   ArrayId id;
   ASSERT_EQ(am_.create_array(0, ElemType::Int32, {8}, util::iota_nodes(2),
                              {DimSpec::block()}, BorderSpec::exact({1, 1}),
@@ -418,13 +429,13 @@ TEST_F(ArrayManagerTest, SectionRoundTripStripsBorders) {
               Status::Ok);
   }
   vp::Payload snap;
-  ASSERT_EQ(am_.read_section(1, id, snap), Status::Ok);
+  ASSERT_EQ(am_.read_shard(1, id, 1, snap), Status::Ok);
   ASSERT_EQ(snap.size(), 4 * sizeof(int));
   const int* vals = reinterpret_cast<const int*>(snap.data());
   for (int k = 0; k < 4; ++k) EXPECT_EQ(vals[k], (4 + k) * 11);
 
-  // Round-trip: write proc 1's snapshot into proc 0's section.
-  ASSERT_EQ(am_.write_section(0, id, snap), Status::Ok);
+  // Round-trip: write shard 1's snapshot into shard 0.
+  ASSERT_EQ(am_.write_shard(0, id, 0, snap), Status::Ok);
   for (int k = 0; k < 4; ++k) {
     Scalar out;
     ASSERT_EQ(am_.read_element(0, id, std::vector<int>{k}, out), Status::Ok);
@@ -558,6 +569,23 @@ struct SweepCase {
   Indexing indexing;
   int nprocs;
 };
+
+/// Prints "d12x8_b3b2_col_p6" — dims, one letter per DimSpec (b = block,
+/// bN = block_n(N), s = star), indexing, processors — so gtest lists the
+/// case by this text (its ctest name), not by raw bytes.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "d";
+  for (std::size_t i = 0; i < c.dims.size(); ++i) {
+    *os << (i != 0 ? "x" : "") << c.dims[i];
+  }
+  *os << "_";
+  for (const DimSpec& d : c.distrib) {
+    *os << (d.kind == DimSpec::Kind::Star ? "s" : "b");
+    if (d.kind == DimSpec::Kind::BlockN) *os << d.n;
+  }
+  *os << (c.indexing == Indexing::RowMajor ? "_row" : "_col") << "_p"
+      << c.nprocs;
+}
 
 class ElementSweep : public ::testing::TestWithParam<SweepCase> {};
 

@@ -441,44 +441,12 @@ TEST_F(ShardMigrationTest, MigrationUnderALivePinFailsBoundedNotDeadlocked) {
   expect_all_elements_readable(0);
 }
 
-// The legacy (section-addressed) APIs refuse a processor that owns more
-// than one shard: which shard "the" local section denotes could change
-// across migrations, so a read/write round-trip could silently target
-// different data.  With exactly one owned shard they work as ever.
-TEST_F(ShardMigrationTest, LegacySectionApisRefuseAmbiguousMultiShardOwner) {
-  // Every processor starts with two shards (8 shards over 4 processors).
-  vp::Payload snap;
-  EXPECT_EQ(am_.read_section(0, id_, snap), Status::Invalid);
-  EXPECT_EQ(am_.write_section(0, id_, vp::Payload::zeros(2 * sizeof(double))),
-            Status::Invalid);
-
-  // Move shard 4 away: processor 0 now owns only shard 0 (elements 0..1),
-  // and the legacy round-trip is unambiguous again.
-  ASSERT_EQ(am_.migrate_shard(0, id_, 4, 1), Status::Ok);
-  ASSERT_EQ(am_.read_section(0, id_, snap), Status::Ok);
-  ASSERT_EQ(snap.size(), 2 * sizeof(double));
-  const double* d = reinterpret_cast<const double*>(snap.data());
-  EXPECT_DOUBLE_EQ(d[0], 0.25);
-  EXPECT_DOUBLE_EQ(d[1], 1.25);
-  std::vector<double> repl{7.5, 8.5};
-  ASSERT_EQ(am_.write_section(
-                0, id_,
-                vp::Payload::copy_of(
-                    std::as_bytes(std::span<const double>(repl)))),
-            Status::Ok);
-  dist::Scalar v;
-  ASSERT_EQ(am_.read_element(2, id_, std::vector<int>{1}, v), Status::Ok);
-  EXPECT_DOUBLE_EQ(std::get<double>(v), 8.5);
-}
-
-// Legacy section traffic racing a migration of the same shard: a write
-// that lands must stick (never silently swallowed by the source teardown)
-// and a read must never observe a torn payload — writers and readers wait
-// out the quiesce instead of touching the borrowed storage.
-TEST_F(ShardMigrationTest, LegacySectionTrafficWaitsOutMigration) {
-  // Leave processor 0 with only shard 0 so the legacy APIs address it.
-  ASSERT_EQ(am_.migrate_shard(0, id_, 4, 1), Status::Ok);
-
+// Shard-addressed bulk traffic racing a migration of the same shard: a
+// write that lands must stick (never silently swallowed by the source
+// teardown) and a read must never observe a torn payload — writers and
+// readers wait out the quiesce instead of touching the borrowed storage,
+// then follow the shard to its new owner.
+TEST_F(ShardMigrationTest, ShardTrafficWaitsOutMigration) {
   std::atomic<bool> stop{false};
   std::atomic<int> bad{0};
   std::thread writer([this, &stop, &bad] {
@@ -486,22 +454,20 @@ TEST_F(ShardMigrationTest, LegacySectionTrafficWaitsOutMigration) {
     while (!stop.load(std::memory_order_relaxed)) {
       // Both halves carry the same value, so any torn copy is visible.
       const double val = static_cast<double>(++i);
-      std::vector<double> w{val, val};
-      const Status st = am_.write_section(
-          0, id_,
-          vp::Payload::copy_of(std::as_bytes(std::span<const double>(w))));
-      // Ok while processor 0 owns the shard, NotFound while it is away;
-      // anything else (a timeout, a torn write) is a failure.
-      if (st != Status::Ok && st != Status::NotFound) bad.fetch_add(1);
+      const double w[2] = {val, val};
+      // Shard requests follow the shard wherever it lives, so anything but
+      // Ok (a timeout, a lost route) is a failure.
+      const vp::Payload data =
+          vp::Payload::copy_of(std::as_bytes(std::span<const double>(w)));
+      if (am_.write_shard(1, id_, 0, data) != Status::Ok) bad.fetch_add(1);
       vp::Payload snap;
-      const Status rst = am_.read_section(0, id_, snap);
-      if (rst == Status::Ok) {
-        double halves[2];
-        std::memcpy(halves, snap.data(), sizeof(halves));
-        if (halves[0] != halves[1]) bad.fetch_add(1);
-      } else if (rst != Status::NotFound) {
+      if (am_.read_shard(1, id_, 0, snap) != Status::Ok) {
         bad.fetch_add(1);
+        continue;
       }
+      double halves[2];
+      std::memcpy(halves, snap.data(), sizeof(halves));
+      if (halves[0] != halves[1]) bad.fetch_add(1);
     }
   });
   for (int round = 0; round < 40; ++round) {
@@ -512,11 +478,10 @@ TEST_F(ShardMigrationTest, LegacySectionTrafficWaitsOutMigration) {
   writer.join();
   EXPECT_EQ(bad.load(), 0);
 
-  // Bring the shard home and prove a final write round-trips intact.
-  ASSERT_EQ(am_.migrate_shard(0, id_, 0, 0), Status::Ok);
+  // A final write round-trips intact through element reads.
   std::vector<double> fin{41.5, 42.5};
-  ASSERT_EQ(am_.write_section(
-                0, id_,
+  ASSERT_EQ(am_.write_shard(
+                0, id_, 0,
                 vp::Payload::copy_of(
                     std::as_bytes(std::span<const double>(fin)))),
             Status::Ok);

@@ -457,17 +457,18 @@ class FaultServerTest : public ::testing::Test {
 };
 
 TEST_F(FaultServerTest, SectionRoundTripWithoutFaults) {
+  // 8 elements over 4 procs: shard 1 (elements 2..3) lives on processor 1.
   vp::Payload section;
-  ASSERT_EQ(dist::read_section_request(servers_, 1, id_, section),
+  ASSERT_EQ(dist::read_shard_request(servers_, 1, id_, 1, section),
             Status::Ok);
-  ASSERT_EQ(section.size(), 2 * sizeof(double));  // 8 elements over 4 procs
+  ASSERT_EQ(section.size(), 2 * sizeof(double));
   std::vector<double> values{3.5, -1.25};
-  ASSERT_EQ(dist::write_section_request(
-                servers_, 1, id_,
+  ASSERT_EQ(dist::write_shard_request(
+                servers_, 1, id_, 1,
                 vp::Payload::copy_of(std::as_bytes(std::span<const double>(
                     values)))),
             Status::Ok);
-  ASSERT_EQ(dist::read_section_request(servers_, 1, id_, section),
+  ASSERT_EQ(dist::read_shard_request(servers_, 1, id_, 1, section),
             Status::Ok);
   const double* d = reinterpret_cast<const double*>(section.data());
   EXPECT_DOUBLE_EQ(d[0], 3.5);
@@ -483,7 +484,7 @@ TEST_F(FaultServerTest, RetryExhaustionUnderFullDropReportsError) {
   policy.max_attempts = 3;
   policy.backoff_ms = 1;
   vp::Payload section;
-  EXPECT_EQ(dist::read_section_request(servers_, 1, id_, section, policy),
+  EXPECT_EQ(dist::read_shard_request(servers_, 1, id_, 1, section, policy),
             Status::Error);
   // All three attempts were dropped in transit, none serviced.
   EXPECT_EQ(machine_.faults()->counts().request_drops, 3u);
@@ -499,9 +500,9 @@ TEST_F(FaultServerTest, FailedProcessorLosesOnlyItsRequests) {
   policy.max_attempts = 2;
   policy.backoff_ms = 1;
   vp::Payload section;
-  EXPECT_EQ(dist::read_section_request(servers_, 2, id_, section, policy),
+  EXPECT_EQ(dist::read_shard_request(servers_, 2, id_, 2, section, policy),
             Status::Error);
-  EXPECT_EQ(dist::read_section_request(servers_, 1, id_, section, policy),
+  EXPECT_EQ(dist::read_shard_request(servers_, 1, id_, 1, section, policy),
             Status::Ok);
   machine_.set_fault_plan(fault::Plan{});
 }

@@ -2,6 +2,7 @@
 // including the worked examples of the thesis text.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "dist/layout.hpp"
@@ -134,6 +135,21 @@ struct ShapeCase {
   Indexing ordering;
 };
 
+/// Prints "4x5" for {4, 5}.
+void print_dims(const std::vector<int>& dims, std::ostream* os) {
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    *os << (i != 0 ? "x" : "") << dims[i];
+  }
+}
+
+/// Prints "d4x5_col": gtest lists the case by this text (its ctest name),
+/// not by raw bytes.
+void PrintTo(const ShapeCase& c, std::ostream* os) {
+  *os << "d";
+  print_dims(c.dims, os);
+  *os << (c.ordering == Indexing::RowMajor ? "_row" : "_col");
+}
+
 class LinearizeRoundTrip : public ::testing::TestWithParam<ShapeCase> {};
 
 TEST_P(LinearizeRoundTrip, DelinearizeInvertsLinearize) {
@@ -163,6 +179,14 @@ struct MapCase {
   std::vector<int> dims;
   std::vector<int> grid;
 };
+
+/// Prints "d16x16_g4x2" (array extents, processor grid).
+void PrintTo(const MapCase& c, std::ostream* os) {
+  *os << "d";
+  print_dims(c.dims, os);
+  *os << "_g";
+  print_dims(c.grid, os);
+}
 
 class GlobalMapBijection : public ::testing::TestWithParam<MapCase> {};
 

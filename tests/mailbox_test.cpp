@@ -27,12 +27,6 @@ Message make(MessageClass cls, std::uint64_t comm, int tag, int src,
   return m;
 }
 
-// Restores the TDP_MAILBOX selection even when an assertion fails mid-test.
-struct ModeGuard {
-  explicit ModeGuard(MailboxMode m) { force_mailbox_mode(m); }
-  ~ModeGuard() { unforce_mailbox_mode(); }
-};
-
 std::uint64_t counter_value(const char* name) {
   return obs::Registry::instance().counter(name).value();
 }
@@ -102,9 +96,7 @@ TEST(MailboxDeadline, PostRacingTimeoutNeverLosesTheMessage) {
 }
 
 TEST(MailboxWakeup, PostWakesOnlyTheMatchingWaiter) {
-  ModeGuard guard(MailboxMode::Indexed);
   Mailbox mb;
-  ASSERT_EQ(mb.mode(), MailboxMode::Indexed);
   std::atomic<bool> got_tag1{false};
   std::atomic<bool> got_tag2{false};
   std::thread a([&] {
@@ -132,9 +124,7 @@ TEST(MailboxWakeup, PostWakesOnlyTheMatchingWaiter) {
 }
 
 TEST(MailboxFifo, IndexedPathPreservesFifoWithinStream) {
-  ModeGuard guard(MailboxMode::Indexed);
   Mailbox mb;
-  ASSERT_EQ(mb.mode(), MailboxMode::Indexed);
   // Interleave two streams that share a bucket key (cls, comm, tag) but
   // differ in src, plus a third stream on another tag, so the FIFO claim is
   // tested per-stream rather than on the whole queue.

@@ -30,7 +30,6 @@ class ObsAttrTest : public ::testing::Test {
   void SetUp() override {
     if (!kCompiledIn) GTEST_SKIP() << "obs compiled out (TDP_OBS_ENABLE=OFF)";
     set_enabled(true);
-    set_trace_mode(TraceMode::KeepFirst);
     Tracer::instance().reset(1 << 12);
     Registry::instance().reset_values();
     CallTable::instance().reset_for_test();
@@ -38,7 +37,6 @@ class ObsAttrTest : public ::testing::Test {
   void TearDown() override {
     if (!kCompiledIn) return;
     CallTable::instance().reset_for_test();
-    set_trace_mode(TraceMode::KeepFirst);
     Tracer::instance().reset();
     Registry::instance().reset_values();
     set_enabled(false);
@@ -152,7 +150,6 @@ TEST_F(ObsAttrTest, ReservoirCooldownAndOverThresholdCapture) {
 }
 
 TEST_F(ObsAttrTest, ExemplarSnapshotsOnlyTheCallsSubtree) {
-  set_trace_mode(TraceMode::Ring);
   Tracer::instance().reset(256);
   CallTable& t = CallTable::instance();
   t.set_slow_threshold_ms(1);
@@ -177,7 +174,6 @@ TEST_F(ObsAttrTest, ExemplarSnapshotsOnlyTheCallsSubtree) {
 }
 
 TEST_F(ObsAttrTest, ExemplarJsonRoundTripsAndWhyReportRenders) {
-  set_trace_mode(TraceMode::Ring);
   Tracer::instance().reset(256);
   CallTable& t = CallTable::instance();
   t.set_slow_threshold_ms(1);
@@ -270,7 +266,6 @@ TEST_F(ObsAttrTest, TelemetrySurfacesExposeSlowCalls) {
 }
 
 TEST_F(ObsAttrTest, DistributedCallFeedsTheLedgerEndToEnd) {
-  set_trace_mode(TraceMode::Ring);
   Tracer::instance().reset(1 << 10);
   CallTable& t = CallTable::instance();
   t.set_slow_threshold_ms(60000);

@@ -1,6 +1,6 @@
 // tdp::obs flight recorder + telemetry plane.
 //
-// Contracts under test: ring mode keeps exactly the most recent events and
+// Contracts under test: the ring keeps exactly the most recent events and
 // counts displaced ones; the shared JSON module round-trips everything the
 // exporters emit (escape → parse is identity, the Chrome trace and the
 // telemetry dump both parse cleanly); the sampler derives windowed rates
@@ -46,7 +46,6 @@ class ObsTelemetryTest : public ::testing::Test {
   void SetUp() override {
     if (!obs::kCompiledIn) GTEST_SKIP() << "built with TDP_OBS_DISABLED";
     obs::set_enabled(true);
-    obs::set_trace_mode(obs::TraceMode::KeepFirst);
     obs::Tracer::instance().reset(1 << 10);
     obs::Registry::instance().reset_values();
     obs::Telemetry::instance().stop();
@@ -64,12 +63,10 @@ class ObsTelemetryTest : public ::testing::Test {
     obs::CallTable::instance().reset_for_test();
     obs::Watchdog::instance().set_report_sink(nullptr);
     obs::Watchdog::instance().reset_auto_dump_cooldown();
-    obs::set_trace_mode(obs::TraceMode::KeepFirst);
     obs::Tracer::instance().reset();
     obs::Registry::instance().reset_values();
     obs::set_enabled(false);
     ::unsetenv("TDP_OBS_DUMP");
-    ::unsetenv("TDP_OBS_DUMP_COOLDOWN_MS");
     // Swallow any dump request a test armed but never serviced.
     obs::service_flight_dump_request();
   }
@@ -88,17 +85,14 @@ class ObsTelemetryTest : public ::testing::Test {
 // --- flight-recorder ring --------------------------------------------------
 
 TEST_F(ObsTelemetryTest, RingKeepsMostRecentAndCountsOverwritten) {
-  obs::set_trace_mode(obs::TraceMode::Ring);
   obs::Tracer& tracer = obs::Tracer::instance();
   tracer.reset(16);  // single emitting shard (vp 3): 16 live slots
-  ASSERT_EQ(tracer.mode(), obs::TraceMode::Ring);
 
   for (std::uint64_t i = 0; i < 40; ++i) {
     tracer.emit(make_event(i + 1, i));
   }
   EXPECT_EQ(tracer.recorded(), 40u);
   EXPECT_EQ(tracer.overwritten(), 24u);
-  EXPECT_EQ(tracer.dropped(), 0u);
 
   const std::vector<obs::EventRecord> snap = tracer.snapshot();
   ASSERT_EQ(snap.size(), 16u);
@@ -108,25 +102,7 @@ TEST_F(ObsTelemetryTest, RingKeepsMostRecentAndCountsOverwritten) {
   }
 }
 
-TEST_F(ObsTelemetryTest, KeepFirstStillDropsPastCapacity) {
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.reset(16);
-  ASSERT_EQ(tracer.mode(), obs::TraceMode::KeepFirst);
-  for (std::uint64_t i = 0; i < 40; ++i) {
-    tracer.emit(make_event(i + 1, i));
-  }
-  EXPECT_EQ(tracer.recorded(), 16u);
-  EXPECT_EQ(tracer.dropped(), 24u);
-  EXPECT_EQ(tracer.overwritten(), 0u);
-  const std::vector<obs::EventRecord> snap = tracer.snapshot();
-  ASSERT_EQ(snap.size(), 16u);
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    EXPECT_EQ(snap[i].arg0, i);  // the FIRST 16, not the last
-  }
-}
-
 TEST_F(ObsTelemetryTest, RingSnapshotIsSafeAgainstLiveEmitters) {
-  obs::set_trace_mode(obs::TraceMode::Ring);
   obs::Tracer& tracer = obs::Tracer::instance();
   tracer.reset(64);
 
@@ -177,7 +153,6 @@ TEST_F(ObsTelemetryTest, JsonParseRejectsMalformedAndTrailingGarbage) {
 }
 
 TEST_F(ObsTelemetryTest, ChromeTraceParsesCleanlyWithMeta) {
-  obs::set_trace_mode(obs::TraceMode::Ring);
   obs::Tracer& tracer = obs::Tracer::instance();
   tracer.reset(8);
   for (std::uint64_t i = 0; i < 20; ++i) tracer.emit(make_event(i + 1, i));
@@ -197,7 +172,6 @@ TEST_F(ObsTelemetryTest, ChromeTraceParsesCleanlyWithMeta) {
   obs::TraceMeta meta;
   ASSERT_TRUE(obs::load_chrome_trace(in, events, &error, &meta)) << error;
   EXPECT_TRUE(meta.present);
-  EXPECT_EQ(meta.mode, "ring");
   EXPECT_EQ(meta.recorded, 20u);
   EXPECT_EQ(meta.overwritten, 12u);
   EXPECT_TRUE(meta.truncated());
@@ -431,7 +405,6 @@ TEST_F(ObsTelemetryTest, PrometheusFoldsHighVpsIntoOneRow) {
 // --- flight dump -----------------------------------------------------------
 
 TEST_F(ObsTelemetryTest, FlightDumpWritesParsableTraceAndTelemetry) {
-  obs::set_trace_mode(obs::TraceMode::Ring);
   obs::Tracer::instance().reset(32);
   for (std::uint64_t i = 0; i < 10; ++i) {
     obs::Tracer::instance().emit(make_event(i + 1, i));
@@ -451,7 +424,6 @@ TEST_F(ObsTelemetryTest, FlightDumpWritesParsableTraceAndTelemetry) {
   obs::TraceMeta meta;
   ASSERT_TRUE(obs::load_chrome_trace(trace, events, &error, &meta)) << error;
   EXPECT_EQ(events.size(), 10u);
-  EXPECT_EQ(meta.mode, "ring");
 
   std::ifstream telemetry(prefix + ".telemetry.json");
   ASSERT_TRUE(telemetry.good());
@@ -474,7 +446,6 @@ TEST_F(ObsTelemetryTest, FlightDumpWritesParsableTraceAndTelemetry) {
 }
 
 TEST_F(ObsTelemetryTest, WatchdogStallAutoDumpsRing) {
-  obs::set_trace_mode(obs::TraceMode::Ring);
   obs::Tracer::instance().reset(32);
   for (std::uint64_t i = 0; i < 8; ++i) {
     obs::Tracer::instance().emit(make_event(i + 1, i));
@@ -524,11 +495,9 @@ TEST_F(ObsTelemetryTest, WatchdogStallAutoDumpsRing) {
 }
 
 TEST_F(ObsTelemetryTest, WatchdogCooldownSuppressesRepeatAutoDumps) {
-  obs::set_trace_mode(obs::TraceMode::Ring);
   obs::Tracer::instance().reset(32);
   const std::string prefix = ::testing::TempDir() + "tdp_flight_cooldown";
   ::setenv("TDP_OBS_DUMP", prefix.c_str(), 1);
-  ::unsetenv("TDP_OBS_DUMP_COOLDOWN_MS");  // the default 30 s window
 
   obs::Watchdog& wd = obs::Watchdog::instance();
   std::atomic<int> reports{0};

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <ostream>
 #include <random>
 
 #include "core/runtime.hpp"
@@ -74,6 +75,22 @@ struct CallSweepCase {
   std::vector<dist::DimSpec> distrib;
   dist::Indexing indexing;
 };
+
+/// Prints "d8x8_b4b2_col" — dims, one letter per DimSpec (b = block,
+/// bN = block_n(N), s = star), indexing — so gtest lists the case by this
+/// text (its ctest name), not by raw bytes.
+void PrintTo(const CallSweepCase& c, std::ostream* os) {
+  *os << "d";
+  for (std::size_t i = 0; i < c.dims.size(); ++i) {
+    *os << (i != 0 ? "x" : "") << c.dims[i];
+  }
+  *os << "_";
+  for (const dist::DimSpec& d : c.distrib) {
+    *os << (d.kind == dist::DimSpec::Kind::Star ? "s" : "b");
+    if (d.kind == dist::DimSpec::Kind::BlockN) *os << d.n;
+  }
+  *os << (c.indexing == dist::Indexing::RowMajor ? "_row" : "_col");
+}
 
 class CallDecompositionSweep
     : public ::testing::TestWithParam<CallSweepCase> {};

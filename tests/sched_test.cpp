@@ -28,11 +28,6 @@ struct SchedGuard {
   ~SchedGuard() { sched::unforce_sched_mode(); }
 };
 
-struct MailboxGuard {
-  explicit MailboxGuard(vp::MailboxMode m) { vp::force_mailbox_mode(m); }
-  ~MailboxGuard() { vp::unforce_mailbox_mode(); }
-};
-
 std::uint64_t counter_value(const char* name) {
   return obs::Registry::instance().counter(name).value();
 }
@@ -94,7 +89,6 @@ TEST(SchedSteal, SpawnedCountsTasks) {
 
 TEST(SchedSteal, PostReschedulesExactlyOneSuspendedReceiver) {
   SchedGuard sched_guard(sched::SchedMode::Steal);
-  MailboxGuard mode_guard(vp::MailboxMode::Indexed);
   vp::Mailbox mb;
   std::atomic<bool> got_tag1{false};
   std::atomic<bool> got_tag2{false};

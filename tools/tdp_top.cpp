@@ -1,6 +1,6 @@
 // tdp_top — live terminal view of a running tdp program.
 //
-//   TDP_OBS=1 TDP_OBS_MODE=ring TDP_OBS_SOCKET=/tmp/tdp.sock ./your_program &
+//   TDP_OBS=1 TDP_OBS_SOCKET=/tmp/tdp.sock ./your_program &
 //   tdp_top --socket /tmp/tdp.sock
 //
 // Polls the exposition endpoint's `json` command on an interval and renders
@@ -163,13 +163,10 @@ void render(std::ostream& os, const tdp::obs::json::Value& doc) {
 
   if (const Value* trace = doc.find("trace");
       trace != nullptr && trace->type == Value::Type::Object) {
-    os << "trace: mode=" << trace->str_or("mode") << " recorded="
+    os << "trace: recorded="
        << static_cast<std::uint64_t>(trace->num_or("recorded", 0.0));
-    const auto dropped =
-        static_cast<std::uint64_t>(trace->num_or("dropped", 0.0));
     const auto overwritten =
         static_cast<std::uint64_t>(trace->num_or("overwritten", 0.0));
-    if (dropped != 0) os << " dropped=" << dropped;
     if (overwritten != 0) os << " overwritten=" << overwritten;
     os << "\n";
   }

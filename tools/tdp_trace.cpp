@@ -129,20 +129,12 @@ int main(int argc, char** argv) {
     }
     if (meta.present && meta.truncated()) {
       // Loudly, before the report: every number below describes a partial
-      // run, and "partial" means different things per retention mode.
-      if (meta.overwritten != 0) {
-        std::cerr << "tdp_trace: WARNING: " << path
-                  << ": flight-recorder trace — the oldest "
-                  << meta.overwritten << " of " << meta.recorded
-                  << " events were overwritten; the report covers only the "
-                     "most recent window\n";
-      }
-      if (meta.dropped != 0) {
-        std::cerr << "tdp_trace: WARNING: " << path << ": " << meta.dropped
-                  << " events were dropped past capacity — the trace ends "
-                     "early (raise TDP_OBS_CAPACITY or use "
-                     "TDP_OBS_MODE=ring)\n";
-      }
+      // run.
+      std::cerr << "tdp_trace: WARNING: " << path
+                << ": flight-recorder trace — the oldest " << meta.overwritten
+                << " of " << meta.recorded
+                << " events were overwritten; the report covers only the "
+                   "most recent window\n";
     }
     events.insert(events.end(),
                   std::make_move_iterator(file_events.begin()),
