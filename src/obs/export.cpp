@@ -270,16 +270,9 @@ void flush_at_shutdown(const MachineStats* machine) {
   const std::string path = per_rank_path(
       env_path != nullptr && env_path[0] != '\0' ? env_path
                                                  : "tdp_trace.json");
-  bool wrote = false;
-  {
-    std::ofstream out(path, std::ios::trunc);
-    if (out) {
-      write_chrome_trace(out);
-      wrote = out.good();
-    }
-  }
+  const bool wrote = dump_flight_recorder(path);
   // One atomic block: the summary must not interleave with concurrent
-  // program output (the watchdog may still be printing, examples write
+  // program output (a stall report may still be printing, examples write
   // results to stdout as they finish).
   std::ostringstream block;
   write_summary(block, machine);

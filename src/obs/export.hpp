@@ -45,10 +45,10 @@ void write_trace_event_array(std::ostream& os,
 void write_chrome_trace(std::ostream& os);
 
 /// Writes the tracer's current contents as a Chrome trace to `path` —
-/// the flight-recorder dump ("give me the last N events NOW", from a
-/// signal handler's service thread, a watchdog stall, or application
-/// code).  Safe against live emitters.  Returns false when
-/// the file cannot be opened or written.
+/// the flight-recorder dump ("give me the last N events NOW", from the
+/// sampler servicing SIGUSR1 or a stall, the socket's `dump` verb, or
+/// application code) and the shutdown trace.  Safe against live emitters.
+/// Returns false when the file cannot be opened or written.
 bool dump_flight_recorder(const std::string& path);
 
 /// Writes the plain-text summary: event/overwrite counts, every registry

@@ -146,8 +146,6 @@ std::string ExpositionServer::respond(const std::string& command) {
 void ExpositionServer::run() {
   const int fd = listen_fd_;  // stable until stop() closes it after join
   while (!stopping_.load(std::memory_order_relaxed)) {
-    service_flight_dump_request();
-
     pollfd pfd{};
     pfd.fd = fd;
     pfd.events = POLLIN;

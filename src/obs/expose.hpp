@@ -11,16 +11,16 @@
 //             summaries).
 //   slow      the retained slow-call exemplars with their captured span
 //             subtrees, as one JSON document (`tdp_trace why` input).
-//   dump      triggers a flight-recorder dump (same path as SIGUSR1) and
-//             replies with the trace file's path.
+//   dump      writes a flight-recorder dump (the files SIGUSR1 produces)
+//             and replies with the trace file's path.
 //
 // `tools/tdp_top` is the intended client, but `nc -U` works just as well:
 //
 //   $ printf metrics | nc -U /tmp/tdp.sock
 //
 // The server owns no metric state — it renders through Telemetry and the
-// registry — and its accept loop doubles as a third servicer of the
-// flight-dump request flag, so SIGUSR1 works even with the sampler off.
+// registry.  It does not service the flight-dump request flag: a socket
+// implies the sampler (telemetry_start_from_env), which does.
 #pragma once
 
 #include <atomic>

@@ -1,6 +1,7 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -49,6 +50,22 @@ std::string fmt_double(double v) {
   return buf;
 }
 
+constexpr std::uint64_t kNsPerMs = 1000000;
+
+/// A millisecond period from the environment, 0 when unset/invalid.
+std::uint64_t env_ms(const char* name) {
+  return static_cast<std::uint64_t>(
+      util::env_int(name, 0, 0, std::numeric_limits<long long>::max()));
+}
+
+const char* cls_name(std::int32_t cls) {
+  switch (cls) {
+    case 0: return "task";
+    case 1: return "data";
+    default: return "any";
+  }
+}
+
 }  // namespace
 
 Telemetry& Telemetry::instance() {
@@ -62,16 +79,15 @@ Telemetry& Telemetry::instance() {
 
 Telemetry::~Telemetry() { stop(); }
 
-std::uint64_t Telemetry::env_period_ms() {
-  return static_cast<std::uint64_t>(
-      util::env_int("TDP_OBS_SAMPLE_MS", 0, 0,
-                    std::numeric_limits<long long>::max()));
-}
-
-void Telemetry::start(std::uint64_t period_ms) {
-  if (period_ms == 0) return;
+void Telemetry::start(std::uint64_t sample_ms, std::uint64_t stall_ms) {
+  if (sample_ms == 0 && stall_ms == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  period_ms_ = period_ms;
+  if (!thread_.joinable() || stall_ms != stall_ms_) {
+    stall_since_ns_ = 0;  // a new window starts from a fresh observation
+    stall_reported_ = false;
+  }
+  period_ms_ = sample_ms;
+  stall_ms_ = stall_ms;
   if (!thread_.joinable()) {
     stopping_ = false;
     thread_ = std::thread([this] { run(); });
@@ -83,6 +99,10 @@ void Telemetry::stop() {
   // the SIGUSR1 dump handler with it, restoring whatever disposition the
   // process had before (a no-op when we never installed one).
   uninstall_dump_signal_handler();
+  join_thread();
+}
+
+void Telemetry::join_thread() {
   std::thread worker;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -99,35 +119,65 @@ bool Telemetry::running() const {
   return thread_.joinable();
 }
 
-int Telemetry::add_vp_source(int vp, const VpWaitState* state) {
+int Telemetry::add_vp_source(int vp, const VpWaitState* state,
+                             Describe describe) {
   std::lock_guard<std::mutex> lock(mutex_);
   VpTrack track;
   track.token = next_token_++;
   track.vp = vp;
   track.state = state;
+  track.describe = std::move(describe);
   vps_.push_back(std::move(track));
   return vps_.back().token;
 }
 
 void Telemetry::remove_vp_source(int token) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = vps_.begin(); it != vps_.end(); ++it) {
-    if (it->token == token) {
-      vps_.erase(it);
-      return;
-    }
+  bool stop_thread = false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::erase_if(vps_, [token](const VpTrack& t) { return t.token == token; });
+    stop_thread = vps_.empty() && thread_.joinable();
   }
+  // Not stop(): the SIGUSR1 disposition outlives one Machine, so a signal
+  // between two Machines never meets the default (terminating) action.
+  if (stop_thread) join_thread();
+}
+
+void Telemetry::set_report_sink(std::function<void(const std::string&)> sink) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  report_sink_ = std::move(sink);
 }
 
 void Telemetry::run() {
   std::unique_lock<std::mutex> lock(mutex_);
   while (!stopping_) {
-    const auto period = std::chrono::milliseconds(period_ms_);
-    if (cv_.wait_for(lock, period, [this] { return stopping_; })) break;
-    tick_locked(now_ns());
+    // One thread, two deadlines: a history sample every period_ms_, a
+    // stall check at least every stall_ms_ (and at every wake, since a
+    // check is a few loads per source).
+    const std::uint64_t now = now_ns();
+    const std::uint64_t sample_ns = period_ms_ * kNsPerMs;
+    const std::uint64_t stall_ns = stall_ms_ * kNsPerMs;
+    if (sample_ns != 0 && now >= last_tick_ns_ + sample_ns) tick_locked(now);
+    const std::string report =
+        stall_ns != 0 ? check_stall_locked(now) : std::string();
+    std::uint64_t wake = now + (stall_ns != 0 ? stall_ns : sample_ns);
+    if (sample_ns != 0) wake = std::min(wake, last_tick_ns_ + sample_ns);
+    // Outside our lock: the sink is caller code, and the dump renders the
+    // telemetry history, which takes the lock.
+    const auto sink = report_sink_;
     lock.unlock();
+    if (!report.empty()) {
+      if (sink) {
+        sink(report);
+      } else {
+        util::atomic_print_err(report);
+      }
+    }
     service_flight_dump_request();
     lock.lock();
+    const std::uint64_t after = now_ns();
+    const auto wait = std::chrono::nanoseconds(wake > after ? wake - after : 0);
+    if (cv_.wait_for(lock, wait, [this] { return stopping_; })) break;
   }
 }
 
@@ -149,6 +199,10 @@ void Telemetry::set_dist_probe(DistProbe probe) {
 
 void Telemetry::note_stall(const std::string& report) {
   std::lock_guard<std::mutex> lock(mutex_);
+  note_stall_locked(report);
+}
+
+void Telemetry::note_stall_locked(const std::string& report) {
   ++stalls_;
   const std::size_t eol = report.find('\n');
   last_stall_ = eol == std::string::npos ? report : report.substr(0, eol);
@@ -217,7 +271,7 @@ void Telemetry::tick_locked(std::uint64_t now) {
       });
 
   // Per-VP run/blocked sampling over the same VpWaitState blocks the stall
-  // watchdog reads.  Message rates come from the per-destination shards of
+  // check reads.  Message rates come from the per-destination shards of
   // the vp.messages counter vp::Machine maintains.
   const std::vector<std::uint64_t> msgs =
       Registry::instance().counter("vp.messages").per_shard();
@@ -306,6 +360,110 @@ void Telemetry::tick_locked(std::uint64_t now) {
   ++samples_;
   last_tick_ns_ = now;
   snapshot_ = std::move(snap);
+}
+
+std::string Telemetry::check_stall_locked(std::uint64_t now) {
+  std::uint64_t progress = 0;
+  std::uint64_t queued = 0;
+  std::uint64_t blocked = 0;
+  for (const VpTrack& t : vps_) {
+    progress += t.state->progress.load(std::memory_order_relaxed);
+    queued += t.state->queue_depth.load(std::memory_order_relaxed);
+    const std::uint64_t since =
+        t.state->blocked_since_ns.load(std::memory_order_relaxed);
+    if (since != 0 && since <= now) ++blocked;
+  }
+  counter_sample(Op::WdQueued, queued, -1);
+  counter_sample(Op::WdBlocked, blocked, -1);
+
+  if (stall_since_ns_ == 0 || progress != stall_progress_) {
+    stall_progress_ = progress;
+    stall_since_ns_ = now;
+    stall_reported_ = false;
+    return {};
+  }
+  if (blocked == 0 || now - stall_since_ns_ < stall_ms_ * kNsPerMs) {
+    stall_reported_ = false;
+    return {};
+  }
+  if (stall_reported_) return {};  // one report per stall episode
+  stall_reported_ = true;
+
+  std::ostringstream report;
+  report << "== tdp::obs watchdog: no progress for " << stall_ms_ << " ms ("
+         << blocked << " of " << vps_.size()
+         << " VPs blocked in receive) ==\n"
+         << describe_blocked_locked(now);
+  if (sched_probe_) {
+    const SchedSample s = sched_probe_();
+    report << "  sched: " << s.worker_busy_ns.size() << " workers, "
+           << s.runnable << " runnable, " << s.suspended
+           << " suspended (tasks, not thread-blocked), " << s.spawned
+           << " spawned, " << s.completed << " completed, " << s.steals
+           << " steals, " << s.parks << " worker parks\n";
+  }
+  Registry::instance().counter("watchdog.stalls").add();
+  note_stall_locked(report.str());
+  // A stall is exactly the moment the flight recorder exists for: dump the
+  // recent past before the operator even asks.  Auto-dumps are rate-
+  // limited: the dump overwrites <prefix>.* in place, so a flapping stall
+  // re-dumping every episode would destroy the evidence of the first one
+  // and churn disk for as long as the flap lasts.
+  if (last_auto_dump_ns_ == 0 ||
+      now >= last_auto_dump_ns_ + kAutoDumpCooldownNs) {
+    last_auto_dump_ns_ = now;
+    request_flight_dump();
+  } else {
+    Registry::instance().counter("watchdog.dumps_suppressed").add();
+  }
+  return report.str();
+}
+
+std::string Telemetry::describe_blocked_locked(std::uint64_t now) const {
+  std::ostringstream out;
+  for (const VpTrack& t : vps_) {
+    const VpWaitState& st = *t.state;
+    const std::uint64_t since =
+        st.blocked_since_ns.load(std::memory_order_relaxed);
+    if (since == 0) continue;
+    const std::int32_t cls = st.wait_cls.load(std::memory_order_relaxed);
+    const std::int32_t src_proc = st.wait_src.load(std::memory_order_relaxed);
+    const std::int32_t sleepers =
+        st.blocked_waiters.load(std::memory_order_relaxed);
+    const std::int32_t suspended =
+        st.suspended_waiters.load(std::memory_order_relaxed);
+    out << "  vp" << t.vp << ": "
+        << (suspended >= sleepers ? "suspended (task, not thread-blocked)"
+                                  : "blocked")
+        << " in selective receive for "
+        << (now > since ? (now - since) / kNsPerMs : 0) << " ms";
+    if (sleepers > 1) {
+      out << " (" << sleepers << " receivers";
+      if (suspended > 0 && suspended < sleepers) {
+        out << ", " << suspended << " suspended tasks";
+      }
+      out << ")";
+    }
+    out << " waiting for ";
+    if (cls < 0) {
+      out << "(opaque predicate)";
+    } else {
+      out << "(cls=" << cls_name(cls)
+          << ", comm=" << st.wait_comm.load(std::memory_order_relaxed)
+          << ", tag=" << st.wait_tag.load(std::memory_order_relaxed)
+          << ", src="
+          << (src_proc < 0 ? std::string("any") : std::to_string(src_proc))
+          << ")";
+    }
+    out << "; ";
+    if (t.describe) {
+      out << t.describe();
+    } else {
+      out << st.queue_depth.load(std::memory_order_relaxed) << " pending";
+    }
+    out << "\n";
+  }
+  return out.str();
 }
 
 Telemetry::Snapshot Telemetry::snapshot() const {
@@ -545,6 +703,9 @@ void Telemetry::reset_for_test() {
   sched_track_ = SchedTrack{};
   stalls_ = 0;
   last_stall_.clear();
+  stall_since_ns_ = 0;
+  stall_reported_ = false;
+  last_auto_dump_ns_ = 0;
   snapshot_ = Snapshot{};
 }
 
@@ -564,6 +725,10 @@ bool service_flight_dump_request() {
 }
 
 std::string dump_flight_data(const char* reason) {
+  // The sampler's dump and the socket's `dump` verb may overlap; two
+  // truncating writers on one file would interleave.
+  static std::mutex dump_mutex;
+  std::lock_guard<std::mutex> lock(dump_mutex);
   const std::string prefix = dump_prefix();
   const std::string trace_path = prefix + ".trace.json";
   const std::string telemetry_path = prefix + ".telemetry.json";
@@ -677,12 +842,10 @@ bool dump_signal_handler_installed() {
 void telemetry_start_from_env() {
   const char* socket_env = std::getenv("TDP_OBS_SOCKET");
   const bool want_socket = socket_env != nullptr && socket_env[0] != '\0';
-  std::uint64_t period = Telemetry::env_period_ms();
+  std::uint64_t period = env_ms("TDP_OBS_SAMPLE_MS");
   if (period == 0 && want_socket) period = 250;  // socket implies sampling
-  if (period != 0) {
-    Telemetry::instance().start(period);
-    install_dump_signal_handler();
-  }
+  Telemetry::instance().start(period, env_ms("TDP_OBS_WATCHDOG_MS"));
+  if (period != 0) install_dump_signal_handler();
   if (want_socket) {
     ExpositionServer::instance().start(socket_env);
   }

@@ -1,33 +1,38 @@
 // tdp::obs telemetry — the live plane over the post-mortem substrate.
 //
-// PRs 1–2 made runs *reconstructable*: trace at capacity, metrics at
-// shutdown, analysis offline.  A long-running service needs the opposite
-// temporal shape — recent history, always, while the process is alive.
-// This module adds it:
+// The trace and the shutdown summary make runs *reconstructable*: trace
+// at capacity, metrics at shutdown, analysis offline.  A long-running
+// service needs the opposite temporal shape — recent history, always,
+// while the process is alive.  This module adds it, on one background
+// sampling thread:
 //
-//  * a background sampler (TDP_OBS_SAMPLE_MS) that snapshots the metrics
-//    registry on a fixed period into bounded time-series rings, deriving
-//    per-window counter rates and histogram p50/p99 from bucket deltas
+//  * history (TDP_OBS_SAMPLE_MS): snapshots of the metrics registry on a
+//    fixed period into bounded time-series rings, deriving per-window
+//    counter rates and histogram p50/p99 from bucket deltas
 //    (Histogram::percentile_from_buckets — lifetime percentiles flatten
 //    out after minutes of uptime; windowed ones are what a dashboard
-//    needs);
-//  * a per-VP run/blocked sampler over the same VpWaitState blocks the
-//    stall watchdog reads: per window, each virtual processor's run
-//    fraction (1 - blocked time / window), mailbox depth, message rate,
-//    and progress rate;
-//  * the flight-recorder dump machinery: SIGUSR1, an API call, the
-//    exposition server's `dump` command, or a watchdog stall all funnel
-//    into one request flag serviced off the hot path, writing the trace
-//    ring ($TDP_OBS_DUMP prefix, default `tdp_flight` →
-//    `tdp_flight.trace.json`) and the telemetry history
-//    (`<prefix>.telemetry.json`).
+//    needs), plus each virtual processor's run fraction (1 - blocked time
+//    / window), mailbox depth, message rate, and progress rate;
+//  * stall detection (TDP_OBS_WATCHDOG_MS): a VP blocked forever in a
+//    selective receive whose matching send never happens is the
+//    integration model's characteristic failure (§3.4.1 makes it
+//    *possible to bound*, not impossible to write).  When no VP makes
+//    progress (posts + completed receives) for the stall window while one
+//    is blocked, the sampler reports who is blocked, on what
+//    (class/comm/tag/src), and what its mailbox holds instead, and
+//    auto-dumps the flight recorder (at most once per 30 s);
+//  * the flight dump: SIGUSR1, an API call, or a stall arm one request
+//    flag that the sampler services off the hot path, writing the trace
+//    ring, the telemetry history and the slow-call exemplars to
+//    `<prefix>.{trace,telemetry,slow}.json` ($TDP_OBS_DUMP, default
+//    `tdp_flight`).  The socket's `dump` verb writes them directly.
 //
-// The sampler is process-global like the watchdog: vp::Machine registers
-// one source per mailbox when observability is enabled, and
+// vp::Machine registers each mailbox's VpWaitState once, and
 // telemetry_start_from_env() (called from the Machine constructor) starts
-// the thread when TDP_OBS_SAMPLE_MS or TDP_OBS_SOCKET is set.  Everything
-// the sampler reads is relaxed-atomic metric state — one tick is a few
-// hundred loads, so even a 10 ms period is noise.
+// the thread when TDP_OBS_SAMPLE_MS, TDP_OBS_WATCHDOG_MS or TDP_OBS_SOCKET
+// is set; with both periods set it wakes at whichever deadline comes
+// first.  Everything the sampler reads is relaxed-atomic state — one tick
+// is a few hundred loads, so even a 10 ms period is noise.
 #pragma once
 
 #include <array>
@@ -35,6 +40,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -42,7 +48,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/watchdog.hpp"
+#include "obs/wait_state.hpp"
 
 namespace tdp::obs {
 
@@ -97,13 +103,20 @@ class Telemetry {
   struct SchedSample {
     std::uint64_t runnable = 0;
     std::uint64_t suspended = 0;
+    std::uint64_t spawned = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t steals = 0;
+    std::uint64_t parks = 0;  ///< worker idle-sleeps
     std::vector<std::uint64_t> worker_busy_ns;  ///< cumulative, per worker
   };
   using SchedProbe = std::function<SchedSample()>;
 
   /// Installs/clears the scheduler probe.  The sampler calls it once per
-  /// tick and differences worker_busy_ns into per-worker run fractions.
-  /// The scheduler clears the probe (nullptr) before joining its workers.
+  /// history tick and differences worker_busy_ns into per-worker run
+  /// fractions; a stall report renders its counts as one "sched:" line,
+  /// so a TDP_SCHED=steal stall reads as "tasks suspended awaiting
+  /// messages", not "threads deadlocked".  The scheduler clears the probe
+  /// (nullptr) before joining its workers.
   void set_sched_probe(SchedProbe probe);
 
   /// One distributed-array sample, pulled from the probe the array manager
@@ -169,36 +182,51 @@ class Telemetry {
     DistState dist;
     std::uint64_t trace_recorded = 0;
     std::uint64_t trace_overwritten = 0;
-    std::uint64_t stalls = 0;    ///< watchdog stall episodes so far
+    std::uint64_t stalls = 0;    ///< stall episodes so far
     std::string last_stall;      ///< first line of the latest stall report
   };
 
   static Telemetry& instance();
 
-  /// TDP_OBS_SAMPLE_MS from the environment, 0 when unset/invalid.
-  static std::uint64_t env_period_ms();
-
   /// Starts the sampling thread (idempotent; a later call adjusts the
-  /// period).  No-op when period_ms is 0.
-  void start(std::uint64_t period_ms);
+  /// periods): a history sample every sample_ms, and stall detection over
+  /// a stall_ms window.  Either may be 0 (that job off); no-op when both
+  /// are.
+  void start(std::uint64_t sample_ms, std::uint64_t stall_ms = 0);
 
   /// Stops and joins the sampling thread; history and snapshot survive.
   void stop();
 
   bool running() const;
 
-  /// Registers a virtual processor's wait state for the run/blocked
-  /// sampler; `state` must outlive the registration.  Returns a token for
-  /// remove_vp_source.
-  int add_vp_source(int vp, const VpWaitState* state);
+  /// Renders a source's pending messages and waiters for a stall report.
+  /// Called on the sampler thread under the telemetry lock; may take the
+  /// mailbox lock (the mailbox never calls into telemetry while holding
+  /// it).
+  using Describe = std::function<std::string()>;
+
+  /// Registers a virtual processor's wait state with the sampler; `state`
+  /// must outlive the registration.  Returns a token for remove_vp_source.
+  int add_vp_source(int vp, const VpWaitState* state,
+                    Describe describe = nullptr);
+
+  /// Unregisters; joins the sampling thread when no sources remain, so no
+  /// state pointer ever dangles (vp::Machine removes its sources before
+  /// destroying its mailboxes).  Unlike stop(), leaves the SIGUSR1
+  /// handler installed.
   void remove_vp_source(int token);
 
-  /// Takes one sample synchronously — what the thread does per period.
-  /// Tests drive the sampler deterministically through this.
+  /// Diverts stall reports from stderr (tests); nullptr restores stderr.
+  /// Called on the sampler thread, outside the telemetry lock.
+  void set_report_sink(std::function<void(const std::string&)> sink);
+
+  /// Takes one history sample synchronously — what the thread does per
+  /// sample period.  Tests drive the sampler deterministically through
+  /// this.
   void sample_now();
 
-  /// The watchdog feeds each stall report here so the live plane can show
-  /// "recent stalls" without re-deriving them.
+  /// Records a stall report so the live plane can show "recent stalls"
+  /// (the sampler calls it for every stall it detects).
   void note_stall(const std::string& report);
 
   Snapshot snapshot() const;
@@ -212,8 +240,9 @@ class Telemetry {
   /// Parses with obs::json::parse — the round trip the tests assert.
   std::string render_json() const;
 
-  /// Clears history, sources stay registered; tests use this between
-  /// cases.  Not thread-safe versus a running sampler — stop() first.
+  /// Clears history and stall state (including the auto-dump cooldown),
+  /// sources stay registered; tests use this between cases.  Not
+  /// thread-safe versus a running sampler — stop() first.
   void reset_for_test();
 
  private:
@@ -247,6 +276,7 @@ class Telemetry {
     int token = 0;
     int vp = -1;
     const VpWaitState* state = nullptr;
+    Describe describe;
     std::uint64_t last_blocked_ns = 0;
     std::uint64_t last_progress = 0;
     std::uint64_t last_msgs = 0;
@@ -260,13 +290,33 @@ class Telemetry {
   };
 
   void run();
+  void join_thread();
   void tick_locked(std::uint64_t now_ns);
+  /// The stall report to print, "" when there is none to make.
+  std::string check_stall_locked(std::uint64_t now_ns);
+  void note_stall_locked(const std::string& report);
+  std::string describe_blocked_locked(std::uint64_t now_ns) const;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::thread thread_;
-  std::uint64_t period_ms_ = 0;
+  std::uint64_t period_ms_ = 0;  ///< history period, 0 = no history
+  std::uint64_t stall_ms_ = 0;   ///< stall window, 0 = no stall detection
   bool stopping_ = false;
+
+  /// Minimum spacing of stall auto-dumps (30 s).
+  static constexpr std::uint64_t kAutoDumpCooldownNs = 30'000'000'000ull;
+
+  std::function<void(const std::string&)> report_sink_;
+  std::uint64_t stall_progress_ = 0;  ///< progress sum at the last change
+  std::uint64_t stall_since_ns_ = 0;  ///< when it last changed; 0 = unseen
+  bool stall_reported_ = false;       ///< one report per stall episode
+  /// now_ns() of the last stall auto-dump; stall episodes inside the
+  /// kAutoDumpCooldownNs window after it report but do not dump (counted
+  /// in watchdog.dumps_suppressed) — a flapping stall must not rewrite
+  /// the flight dump every window, destroying the evidence of the first
+  /// episode.
+  std::uint64_t last_auto_dump_ns_ = 0;
 
   std::uint64_t last_tick_ns_ = 0;
   std::uint64_t samples_ = 0;
@@ -282,16 +332,16 @@ class Telemetry {
   Snapshot snapshot_;
 };
 
-/// Reads TDP_OBS_SAMPLE_MS and TDP_OBS_SOCKET and brings the live plane
-/// up accordingly: the sampler when either is set (the socket implies a
-/// default 250 ms period), the exposition server when the socket path is
-/// set, and the SIGUSR1 dump handler alongside the sampler.  Idempotent;
-/// vp::Machine calls it whenever observability is enabled.
+/// Reads TDP_OBS_SAMPLE_MS, TDP_OBS_WATCHDOG_MS and TDP_OBS_SOCKET and
+/// brings the live plane up accordingly: the sampler when any is set (the
+/// socket implies a default 250 ms history period), the exposition server
+/// when the socket path is set, and the SIGUSR1 dump handler alongside
+/// the history sampler.  Idempotent; vp::Machine calls it whenever
+/// observability is enabled.
 void telemetry_start_from_env();
 
 /// Arms the flight-recorder dump flag.  Async-signal-safe (the SIGUSR1
-/// handler calls this); the telemetry sampler, the watchdog thread, and
-/// the exposition server all service it at their next step.
+/// handler calls this); the sampler thread services it at its next wake.
 void request_flight_dump();
 
 /// Services a pending dump request, if any; returns true when a dump was
@@ -303,6 +353,8 @@ bool service_flight_dump_request();
 /// call exemplars to `<prefix>.slow.json` (prefix: TDP_OBS_DUMP, default
 /// "tdp_flight"), logging one atomic stderr line tagged with `reason`.
 /// Returns the trace path ("" when the file could not be written).
+/// Serialised: the sampler's dump and the socket's `dump` verb never
+/// write the same files at once.
 std::string dump_flight_data(const char* reason);
 
 /// Installs the SIGUSR1 → request_flight_dump handler, saving the

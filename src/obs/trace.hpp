@@ -21,7 +21,7 @@
 //
 // Each shard is a flight-recorder ring that keeps the *last* N events, so a
 // long-running service always has recent history to dump on demand
-// (SIGUSR1, a watchdog stall, or obs::dump_flight_recorder) instead of
+// (SIGUSR1, a stall, or obs::dump_flight_recorder) instead of
 // going blind after the first TDP_OBS_CAPACITY events.  Displaced events are
 // counted as overwritten — the trace's single truncation signal.  Because
 // the shard mutex also guards snapshot reads, a snapshot of a live service

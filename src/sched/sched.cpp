@@ -8,14 +8,12 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <thread>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 #include "sched/fiber.hpp"
 #include "util/env.hpp"
 
@@ -283,9 +281,8 @@ class Scheduler {
 
   ~Scheduler() {
     if (started_.load(std::memory_order_acquire)) {
-      // Detach the diagnostics probes first: both invoke stats() under
-      // their own locks, and must never do so while workers are torn down.
-      obs::Watchdog::instance().set_aux_report(nullptr);
+      // Detach the diagnostics probe first: it invokes snapshot() under the
+      // telemetry lock, and must never do so while workers are torn down.
       obs::Telemetry::instance().set_sched_probe(nullptr);
       stopping_.store(true, std::memory_order_release);
       {
@@ -422,13 +419,18 @@ class Scheduler {
       raw->thread = std::thread([this, raw] { worker_main(*raw); });
     }
     timer_thread_ = std::thread([this] { timer_main(); });
-    obs::Watchdog::instance().set_aux_report([] { return describe(); });
+    // One probe feeds both the history sampler and the "sched:" line of
+    // a stall report.
     obs::Telemetry::instance().set_sched_probe([this] {
       obs::Telemetry::SchedSample sample;
-      const Stats s = snapshot();
+      Stats s = snapshot();
       sample.runnable = s.runnable;
       sample.suspended = s.suspended;
-      sample.worker_busy_ns = s.worker_busy_ns;
+      sample.spawned = s.spawned;
+      sample.completed = s.completed;
+      sample.steals = s.steals;
+      sample.parks = s.parks;
+      sample.worker_busy_ns = std::move(s.worker_busy_ns);
       return sample;
     });
     started_.store(true, std::memory_order_release);
@@ -707,11 +709,10 @@ class Scheduler {
 
 Scheduler& Scheduler::instance() {
   // Construction is ordered after the obs singletons: workers emit into
-  // the registry and the probes hook the watchdog/telemetry, so all of
-  // them must be destroyed after the scheduler joins its threads.
+  // the registry and the probe hooks telemetry, so all of them must be
+  // destroyed after the scheduler joins its threads.
   obs::Registry::instance();
   obs::Tracer::instance();
-  obs::Watchdog::instance();
   obs::Telemetry::instance();
   static Scheduler scheduler;
   return scheduler;
@@ -774,20 +775,5 @@ void park_until(std::unique_lock<std::mutex>& lock,
 }
 
 Stats stats() { return Scheduler::instance().snapshot(); }
-
-std::string describe() {
-  const Stats s = stats();
-  std::ostringstream out;
-  if (s.workers == 0) {
-    out << "sched: steal pool not started (all processes on the thread lane)";
-    return out.str();
-  }
-  out << "sched: " << s.workers << " workers, " << s.runnable
-      << " runnable, " << s.suspended
-      << " suspended (tasks, not thread-blocked), " << s.spawned
-      << " spawned, " << s.completed << " completed, " << s.steals
-      << " steals, " << s.parks << " worker parks";
-  return out.str();
-}
 
 }  // namespace tdp::sched

@@ -39,7 +39,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <vector>
 
 namespace tdp::sched {
@@ -111,9 +110,10 @@ void park(std::unique_lock<std::mutex>& lock);
 void park_until(std::unique_lock<std::mutex>& lock,
                 std::chrono::steady_clock::time_point deadline);
 
-/// Scheduler-state snapshot for diagnostics (watchdog stall reports, the
-/// telemetry probe, tests).  All zeros until the first steal-lane spawn
-/// starts the pool.
+/// Scheduler-state snapshot for diagnostics (the telemetry probe, whose
+/// counts also render as a stall report's "sched:" line, so "suspended
+/// task" never reads as "deadlocked thread"; tests).  All zeros until the
+/// first steal-lane spawn starts the pool.
 struct Stats {
   std::size_t workers = 0;
   std::uint64_t runnable = 0;   ///< tasks queued, not yet running
@@ -125,10 +125,5 @@ struct Stats {
   std::vector<std::uint64_t> worker_busy_ns;  ///< cumulative, per worker
 };
 Stats stats();
-
-/// One-line rendering of stats() — the scheduler's contribution to a
-/// watchdog stall report, so "suspended task" never reads as "deadlocked
-/// thread".
-std::string describe();
 
 }  // namespace tdp::sched

@@ -29,7 +29,7 @@ Algo env_algorithm() {
     bool known = false;
     const Algo a = algo_from_name(env, known);
     if (!known) {
-      // Mirror the guarded env parsing in watchdog.cpp/trace.cpp: a typo
+      // Mirror the guarded env parsing of util::env_int: a typo
       // must be reported, never silently remapped.
       std::fprintf(stderr,
                    "tdp::spmd: ignoring unknown TDP_COLL \"%s\"; valid "

@@ -20,7 +20,7 @@ void atomic_print(const std::string& line) {
 }
 
 void atomic_print_err(const std::string& block) {
-  // Same mutex as atomic_print: diagnostics on stderr (watchdog stall
+  // Same mutex as atomic_print: diagnostics on stderr (stall
   // reports, the shutdown summary) never tear mid-block against program
   // output on stdout when both land on one terminal or log file.
   std::lock_guard<std::mutex> lock(print_mutex());

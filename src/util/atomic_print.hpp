@@ -16,7 +16,7 @@ void atomic_print(const std::string& line);
 
 /// Writes a (possibly multi-line) block to standard error atomically,
 /// appending a trailing newline if the block lacks one.  Shares the
-/// atomic_print mutex, so a watchdog stall report or shutdown summary
+/// atomic_print mutex, so a stall report or shutdown summary
 /// never interleaves with concurrent stdout lines either.
 void atomic_print_err(const std::string& block);
 

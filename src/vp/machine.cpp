@@ -4,7 +4,6 @@
 
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 
 namespace tdp::vp {
 
@@ -46,31 +45,23 @@ Machine::Machine(int nprocs) {
     });
   }
   if (obs::enabled()) {
-    obs::Watchdog& wd = obs::Watchdog::instance();
     obs::Telemetry& tel = obs::Telemetry::instance();
-    watchdog_tokens_.reserve(mailboxes_.size());
     telemetry_tokens_.reserve(mailboxes_.size());
     for (int i = 0; i < nprocs; ++i) {
       Mailbox* mb = mailboxes_[static_cast<std::size_t>(i)].get();
       // describe_wait renders both sides of a stall: the pending queue AND
       // every registered waiter's match tuple (the indexed mailbox can have
       // several selective receivers blocked at once).
-      watchdog_tokens_.push_back(wd.add_source(
+      telemetry_tokens_.push_back(tel.add_vp_source(
           i, &mb->wait_state(), [mb] { return mb->describe_wait(); }));
-      telemetry_tokens_.push_back(tel.add_vp_source(i, &mb->wait_state()));
     }
-    wd.start(obs::Watchdog::env_period_ms());
     obs::telemetry_start_from_env();
   }
 }
 
 Machine::~Machine() {
-  // Unregister before closing/destroying mailboxes: the watchdog thread
+  // Unregister before closing/destroying mailboxes: the sampler thread
   // holds raw pointers into them and stops when the last source leaves.
-  if (!watchdog_tokens_.empty()) {
-    obs::Watchdog& wd = obs::Watchdog::instance();
-    for (int token : watchdog_tokens_) wd.remove_source(token);
-  }
   if (!telemetry_tokens_.empty()) {
     obs::Telemetry& tel = obs::Telemetry::instance();
     for (int token : telemetry_tokens_) tel.remove_vp_source(token);

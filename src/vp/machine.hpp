@@ -31,9 +31,9 @@ namespace tdp::vp {
 class Machine {
  public:
   /// Creates a machine with `nprocs` virtual processors.  When
-  /// observability is enabled, every mailbox is registered with the stall
-  /// watchdog, and the watchdog thread starts if TDP_OBS_WATCHDOG_MS is
-  /// set (see obs/watchdog.hpp).
+  /// observability is enabled, every mailbox is registered with the
+  /// telemetry sampler, whose thread starts if TDP_OBS_SAMPLE_MS,
+  /// TDP_OBS_WATCHDOG_MS or TDP_OBS_SOCKET is set (see obs/telemetry.hpp).
   explicit Machine(int nprocs);
   ~Machine();
 
@@ -109,7 +109,6 @@ class Machine {
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   obs::ShardedCounter messages_sent_;
-  std::vector<int> watchdog_tokens_;
   std::vector<int> telemetry_tokens_;
   std::unique_ptr<fault::Injector> injector_;  // nullptr = no active plan
   // Declared last: the transport's reader threads post into mailboxes_

@@ -261,7 +261,7 @@ void Mailbox::note_block_locked(const WaitDetail* detail, bool obs_on) {
                queue_.size());
   miss_count.add();
   // Publish what we are waiting for; keep the first block timestamp so
-  // the watchdog reports time-since-block, not time-since-last-wake.
+  // a stall report shows time-since-block, not time-since-last-wake.
   if (detail != nullptr) {
     wait_state_.wait_cls.store(static_cast<std::int32_t>(detail->cls),
                                std::memory_order_relaxed);

@@ -36,7 +36,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/watchdog.hpp"
+#include "obs/wait_state.hpp"
 #include "sched/sched.hpp"
 #include "vp/payload.hpp"
 
@@ -90,7 +90,7 @@ class MailboxClosed : public std::runtime_error {
 /// deadline.  Carries exactly what the receiver was awaiting — the (class,
 /// comm, tag, src) tuple of a selective receive, or has_detail = false for
 /// an opaque predicate — plus a snapshot of the pending queue, so a timeout
-/// reads like a watchdog stall report: what was wanted AND what was
+/// reads like a stall report: what was wanted AND what was
 /// available but did not match.
 class ReceiveTimeout : public std::runtime_error {
  public:
@@ -147,7 +147,7 @@ class Mailbox {
   /// Convenience selective receive on (class, comm, tag, src); a negative
   /// src matches any sender.  Unlike the predicate form, this one is served
   /// from the (class, comm, tag) bucket index with targeted wakeups, and
-  /// can tell the stall watchdog exactly what the owner is waiting for.
+  /// can tell a stall report exactly what the owner is waiting for.
   Message receive(MessageClass cls, std::uint64_t comm, int tag, int src);
 
   /// Deadline-aware receive: like receive(match), but throws ReceiveTimeout
@@ -166,7 +166,7 @@ class Mailbox {
 
   /// One-line rendering of the queued messages ("3 pending: [cls=data
   /// comm=7 tag=1 src=0 flow=... 16B] ..."), capped at a few entries; the
-  /// stall watchdog's "what was available but did not match" report.  The
+  /// stall report's "what was available but did not match" line.  The
   /// messages are listed in arrival order via the global sequence number.
   /// The flow id lets a stall report be cross-referenced with the exported
   /// trace's send→receive arrows.
@@ -174,12 +174,12 @@ class Mailbox {
 
   /// describe_pending() plus the registered waiter records ("2 waiting:
   /// (cls=data, comm=7, tag=1, src=any) (opaque)"): both sides of a stall —
-  /// what is queued AND what every blocked receiver wants.  The watchdog
-  /// registers this as its describe callback.
+  /// what is queued AND what every blocked receiver wants.  vp::Machine
+  /// registers this as the mailbox's stall-report describe callback.
   std::string describe_wait() const;
 
-  /// The watchdog-visible state of this mailbox (progress counter, blocked
-  /// owner, queue depth); vp::Machine registers it with obs::Watchdog.
+  /// The sampler-visible state of this mailbox (progress counter, blocked
+  /// owner, queue depth); vp::Machine registers it with obs::Telemetry.
   obs::VpWaitState& wait_state() { return wait_state_; }
 
   /// Wakes all waiting receivers with MailboxClosed; used at teardown.
@@ -187,7 +187,7 @@ class Mailbox {
 
  private:
   /// What a blocked selective receive is waiting for, published to the
-  /// watchdog; nullptr for opaque predicates.
+  /// stall check; nullptr for opaque predicates.
   struct WaitDetail {
     MessageClass cls;
     std::uint64_t comm;

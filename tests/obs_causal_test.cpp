@@ -6,7 +6,7 @@
 // even when selective receive delivers messages out of arrival order under
 // contention.  The analyzer contract: the critical path it reports for a
 // distributed call is a causally-connected chain (each link follows a
-// recorded spawn/message/join edge, not a timestamp guess).  The watchdog
+// recorded spawn/message/join edge, not a timestamp guess).  The stall
 // contract: a deadlocked selective receive produces a diagnosis naming the
 // blocked VP, what it waits for, and what its mailbox holds instead.
 #include <gtest/gtest.h>
@@ -25,8 +25,8 @@
 #include "obs/analyze.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 #include "spmd/context.hpp"
 #include "vp/machine.hpp"
 
@@ -44,7 +44,7 @@ class ObsCausalTest : public ::testing::Test {
   }
   void TearDown() override {
     if (!obs::kCompiledIn) return;
-    obs::Watchdog::instance().set_report_sink(nullptr);
+    obs::Telemetry::instance().set_report_sink(nullptr);
     obs::set_enabled(false);
     obs::Tracer::instance().reset();
     obs::Registry::instance().reset_values();
@@ -164,15 +164,15 @@ TEST_F(ObsCausalTest, PairingSurvivesSelectiveReceiveReorderingUnderContention) 
 TEST_F(ObsCausalTest, WatchdogFlagsDeadlockedSelectiveReceivePair) {
   std::mutex mu;
   std::vector<std::string> reports;
-  obs::Watchdog::instance().set_report_sink([&](const std::string& r) {
+  obs::Telemetry::instance().set_report_sink([&](const std::string& r) {
     std::lock_guard<std::mutex> lock(mu);
     reports.push_back(r);
   });
 
   {
-    vp::Machine machine(2);  // registers both mailboxes with the watchdog
-    obs::Watchdog::instance().start(25);
-    ASSERT_TRUE(obs::Watchdog::instance().running());
+    vp::Machine machine(2);  // registers both mailboxes with the sampler
+    obs::Telemetry::instance().start(0, 25);
+    ASSERT_TRUE(obs::Telemetry::instance().running());
 
     // The classic crossed wait: vp0 wants tag 1 from vp1, vp1 wants tag 2
     // from vp0, and neither send ever happens.  vp0's mailbox additionally
@@ -210,7 +210,7 @@ TEST_F(ObsCausalTest, WatchdogFlagsDeadlockedSelectiveReceivePair) {
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    ASSERT_FALSE(report.empty()) << "watchdog never reported the deadlock";
+    ASSERT_FALSE(report.empty()) << "sampler never reported the deadlock";
     EXPECT_NE(report.find("no progress"), std::string::npos) << report;
     EXPECT_NE(report.find("2 of 2 VPs blocked"), std::string::npos) << report;
     EXPECT_NE(report.find("vp0"), std::string::npos) << report;
@@ -239,7 +239,7 @@ TEST_F(ObsCausalTest, WatchdogFlagsDeadlockedSelectiveReceivePair) {
   }
   // The machine's destructor removed the last sources, which stops the
   // sampling thread — no dangling VpWaitState pointers.
-  EXPECT_FALSE(obs::Watchdog::instance().running());
+  EXPECT_FALSE(obs::Telemetry::instance().running());
 }
 
 // --- Analyzer. --------------------------------------------------------------

@@ -5,8 +5,8 @@
 // exporters emit (escape → parse is identity, the Chrome trace and the
 // telemetry dump both parse cleanly); the sampler derives windowed rates
 // and bucket-delta percentiles from the registry; the exposition server
-// answers the metrics/json/dump protocol over a real socket; and a
-// watchdog stall with the ring armed auto-dumps a readable trace file.
+// answers the metrics/json/dump protocol over a real socket; and a stall
+// detected by the same sampler auto-dumps a readable trace file.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -34,7 +35,6 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 #include "vp/machine.hpp"
 
 namespace {
@@ -49,11 +49,10 @@ class ObsTelemetryTest : public ::testing::Test {
     obs::Tracer::instance().reset(1 << 10);
     obs::Registry::instance().reset_values();
     obs::Telemetry::instance().stop();
+    // Also forgets the last stall auto-dump, so an earlier test's dump
+    // does not put this one's stall inside the cooldown window.
     obs::Telemetry::instance().reset_for_test();
     obs::CallTable::instance().reset_for_test();
-    // A stall auto-dump in an earlier test must not put this one's stall
-    // inside the cooldown window.
-    obs::Watchdog::instance().reset_auto_dump_cooldown();
   }
   void TearDown() override {
     if (!obs::kCompiledIn) return;
@@ -61,8 +60,7 @@ class ObsTelemetryTest : public ::testing::Test {
     obs::Telemetry::instance().stop();
     obs::Telemetry::instance().reset_for_test();
     obs::CallTable::instance().reset_for_test();
-    obs::Watchdog::instance().set_report_sink(nullptr);
-    obs::Watchdog::instance().reset_auto_dump_cooldown();
+    obs::Telemetry::instance().set_report_sink(nullptr);
     obs::Tracer::instance().reset();
     obs::Registry::instance().reset_values();
     obs::set_enabled(false);
@@ -255,6 +253,9 @@ TEST_F(ObsTelemetryTest, SamplerTracksPerVpRunFractionAndQueueDepth) {
   obs::Registry::instance().counter("vp.messages").add_at(5, 42);
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   tel.sample_now();
+  // The block closes here, at the second sample: everything the test does
+  // from now on belongs to the runnable window.
+  const std::uint64_t now = obs::now_ns();
 
   const obs::Telemetry::Snapshot snap = tel.snapshot();
   bool found = false;
@@ -269,11 +270,12 @@ TEST_F(ObsTelemetryTest, SamplerTracksPerVpRunFractionAndQueueDepth) {
   }
   EXPECT_TRUE(found);
 
-  // Close the block; a fully-runnable window reads ~1.
-  const std::uint64_t now = obs::now_ns();
+  // Close the block; a fully-runnable window reads ~1.  The window is long
+  // next to the gap between the second sample and `now` (the only blocked
+  // time it holds), even when a sanitizer slows every call.
   state.blocked_ns_total.fetch_add(now - 1, std::memory_order_relaxed);
   state.blocked_since_ns.store(0, std::memory_order_relaxed);
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   tel.sample_now();
   const obs::Telemetry::Snapshot snap2 = tel.snapshot();
   for (const auto& row : snap2.vps) {
@@ -453,20 +455,20 @@ TEST_F(ObsTelemetryTest, WatchdogStallAutoDumpsRing) {
   const std::string prefix = ::testing::TempDir() + "tdp_flight_stall";
   ::setenv("TDP_OBS_DUMP", prefix.c_str(), 1);
 
-  obs::Watchdog& wd = obs::Watchdog::instance();
+  obs::Telemetry& tel = obs::Telemetry::instance();
   std::atomic<int> reports{0};
-  wd.set_report_sink([&](const std::string&) { ++reports; });
+  tel.set_report_sink([&](const std::string&) { ++reports; });
 
-  // A permanently-blocked source with frozen progress: a stall by the
-  // second sample.
+  // A permanently-blocked source with frozen progress: a stall one window
+  // after the first check.
   obs::VpWaitState state;
   state.blocked_since_ns.store(1, std::memory_order_relaxed);
-  const int token = wd.add_source(7, &state, nullptr);
-  wd.start(10);
+  const int token = tel.add_vp_source(7, &state);
+  tel.start(0, 10);
   for (int i = 0; i < 200 && reports.load() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  // The watchdog services the dump request it armed one period after it
+  // The sampler services the dump request it armed right after it
   // reported; the telemetry half is written strictly after the trace file
   // is complete, so its existence means the trace is safe to parse.
   bool dumped = false;
@@ -474,7 +476,7 @@ TEST_F(ObsTelemetryTest, WatchdogStallAutoDumpsRing) {
     dumped = std::ifstream(prefix + ".telemetry.json").good();
     if (!dumped) std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  wd.remove_source(token);  // stops the thread (last source out)
+  tel.remove_vp_source(token);  // stops the thread (last source out)
 
   EXPECT_GT(reports.load(), 0);
   ASSERT_TRUE(dumped);
@@ -483,7 +485,7 @@ TEST_F(ObsTelemetryTest, WatchdogStallAutoDumpsRing) {
   std::vector<obs::LoadedEvent> events;
   std::string error;
   ASSERT_TRUE(obs::load_chrome_trace(trace, events, &error)) << error;
-  // Our 8 events plus the watchdog's own WdQueued/WdBlocked counter
+  // Our 8 events plus the stall check's own WdQueued/WdBlocked counter
   // samples, all retained by the ring.
   EXPECT_GE(events.size(), 8u);
 
@@ -499,17 +501,17 @@ TEST_F(ObsTelemetryTest, WatchdogCooldownSuppressesRepeatAutoDumps) {
   const std::string prefix = ::testing::TempDir() + "tdp_flight_cooldown";
   ::setenv("TDP_OBS_DUMP", prefix.c_str(), 1);
 
-  obs::Watchdog& wd = obs::Watchdog::instance();
+  obs::Telemetry& tel = obs::Telemetry::instance();
   std::atomic<int> reports{0};
-  wd.set_report_sink([&](const std::string&) { ++reports; });
+  tel.set_report_sink([&](const std::string&) { ++reports; });
   obs::VpWaitState state;
   state.blocked_since_ns.store(1, std::memory_order_relaxed);
-  const int token = wd.add_source(7, &state, nullptr);
+  const int token = tel.add_vp_source(7, &state);
   obs::ShardedCounter& suppressed =
       obs::Registry::instance().counter("watchdog.dumps_suppressed");
   const std::uint64_t suppressed0 = suppressed.value();
 
-  wd.start(5);
+  tel.start(0, 5);
   for (int i = 0; i < 400 && reports.load() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -534,12 +536,113 @@ TEST_F(ObsTelemetryTest, WatchdogCooldownSuppressesRepeatAutoDumps) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_GT(reports.load(), before);
-  // Give the watchdog a few more periods: it must NOT write a new dump.
+  // Give the sampler a few more windows: it must NOT write a new dump.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  wd.remove_source(token);  // stops the thread (last source out)
+  tel.remove_vp_source(token);  // stops the thread (last source out)
 
   EXPECT_GT(suppressed.value(), suppressed0);
   EXPECT_FALSE(std::ifstream(prefix + ".trace.json").good());
+}
+
+TEST_F(ObsTelemetryTest, StallWindowLongerThanSamplePeriodReportsOnce) {
+  const std::string prefix = ::testing::TempDir() + "tdp_flight_window";
+  ::setenv("TDP_OBS_DUMP", prefix.c_str(), 1);
+  obs::Telemetry& tel = obs::Telemetry::instance();
+  std::mutex mu;
+  std::vector<std::pair<std::uint64_t, std::string>> reports;  // (ns, text)
+  tel.set_report_sink([&](const std::string& r) {
+    std::lock_guard<std::mutex> lock(mu);
+    reports.emplace_back(obs::now_ns(), r);
+  });
+  // The scheduler line of a stall report is rendered from the probe.
+  tel.set_sched_probe([] {
+    obs::Telemetry::SchedSample s;
+    s.suspended = 3;
+    s.worker_busy_ns = {0, 0};
+    return s;
+  });
+
+  // A frozen blocked source, history every 5 ms, a 40 ms stall window.
+  obs::VpWaitState state;
+  state.blocked_since_ns.store(1, std::memory_order_relaxed);
+  const std::uint64_t t0 = obs::now_ns();
+  const int token = tel.add_vp_source(7, &state);
+  tel.start(5, 40);
+  const auto report_count = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return reports.size();
+  };
+  for (int i = 0; i < 400 && report_count() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // Several more windows of the same frozen stall: still one episode.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const std::uint64_t samples = tel.snapshot().samples;
+  tel.remove_vp_source(token);  // stops the thread (last source out)
+  tel.set_sched_probe(nullptr);
+  EXPECT_FALSE(tel.running());
+
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_GE(reports[0].first - t0, 40u * 1000000u);
+  const std::string& report = reports[0].second;
+  EXPECT_NE(report.find("no progress for 40 ms"), std::string::npos) << report;
+  EXPECT_NE(report.find("1 of 1 VPs blocked"), std::string::npos) << report;
+  EXPECT_NE(report.find("sched: 2 workers, 0 runnable, 3 suspended"),
+            std::string::npos)
+      << report;
+  // History kept its own period: many samples per stall window, not one.
+  EXPECT_GE(samples, 16u);
+  std::remove((prefix + ".trace.json").c_str());
+  std::remove((prefix + ".telemetry.json").c_str());
+  std::remove((prefix + ".slow.json").c_str());
+}
+
+TEST_F(ObsTelemetryTest, ConcurrentFlightDumpsLeaveParsableFiles) {
+  obs::Tracer::instance().reset(1 << 12);
+  const std::string prefix = ::testing::TempDir() + "tdp_flight_race";
+  ::setenv("TDP_OBS_DUMP", prefix.c_str(), 1);
+  // A live emitter whose payloads are 1 or 19 digits at random makes every
+  // dump a different length, so two writers truncating the same file at
+  // once would leave the longer one's tail behind the shorter document.
+  std::atomic<bool> done{false};
+  std::thread emitter([&] {
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (std::uint64_t i = 1; !done.load(); ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      obs::Tracer::instance().emit(make_event(i, (x & 1) != 0 ? x : 0));
+    }
+  });
+  std::vector<std::thread> dumpers;
+  for (int t = 0; t < 4; ++t) {
+    dumpers.emplace_back([] {
+      for (int i = 0; i < 5; ++i) {
+        EXPECT_FALSE(obs::dump_flight_data("concurrent test").empty());
+      }
+    });
+  }
+  for (std::thread& t : dumpers) t.join();
+  done.store(true);
+  emitter.join();
+
+  // Strict parses: obs::json::parse rejects trailing bytes, which is what
+  // a torn file carries; load_chrome_trace is the reader tools use.
+  std::string error;
+  std::stringstream trace_text;
+  trace_text << std::ifstream(prefix + ".trace.json").rdbuf();
+  obs::json::Value doc;
+  EXPECT_TRUE(obs::json::parse(trace_text.str(), doc, &error)) << error;
+  std::vector<obs::LoadedEvent> events;
+  EXPECT_TRUE(obs::load_chrome_trace(trace_text, events, &error)) << error;
+  EXPECT_FALSE(events.empty());
+  std::stringstream telemetry_text;
+  telemetry_text << std::ifstream(prefix + ".telemetry.json").rdbuf();
+  EXPECT_TRUE(obs::json::parse(telemetry_text.str(), doc, &error)) << error;
+  std::remove((prefix + ".trace.json").c_str());
+  std::remove((prefix + ".telemetry.json").c_str());
+  std::remove((prefix + ".slow.json").c_str());
 }
 
 // --- exposition server -----------------------------------------------------

@@ -240,7 +240,7 @@ TEST(SchedSteal, ThousandsOfTasksMultiplexOnFixedPool) {
   EXPECT_EQ(done.load(), kTasks);
   const sched::Stats after = sched::stats();
   EXPECT_GE(after.completed, static_cast<std::uint64_t>(kTasks));
-  EXPECT_FALSE(sched::describe().empty());
+  EXPECT_GE(after.spawned, static_cast<std::uint64_t>(kTasks));
 }
 
 TEST(SchedThread, ThreadLaneIsUnchanged) {

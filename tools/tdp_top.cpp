@@ -6,7 +6,7 @@
 // Polls the exposition endpoint's `json` command on an interval and renders
 // per-VP utilization (run fraction over the last sample window), mailbox
 // depth, message rate, and blocked state, plus headline counter rates,
-// windowed histogram quantiles, trace-ring status, recent watchdog stalls,
+// windowed histogram quantiles, trace-ring status, recent stalls,
 // and the slowest retained calls with their phase attribution.  `--once`
 // prints a single snapshot and exits (CI smoke-tests this); `--metrics`
 // prints the raw Prometheus text, `--slow` the raw slow-call exemplar JSON.
