@@ -84,6 +84,53 @@ constexpr auto kQuiesceTimeout = std::chrono::seconds(10);
 /// bound converts that self-deadlock into Status::Error.
 constexpr auto kPinDrainTimeout = std::chrono::seconds(2);
 
+/// with_shard locators: the shard a request addresses, or -1 (Invalid).
+auto element_shard(std::span<const int> indices) {
+  return [indices](const ArrayRecord& rec) -> long long {
+    if (!indices_in_range(indices, rec.dims)) return -1;
+    return shard_rank(indices, rec.local_dims, rec.grid_dims,
+                      rec.grid_indexing);
+  };
+}
+
+auto shard_in_range(long long shard) {
+  return [shard](const ArrayRecord& rec) -> long long {
+    return shard >= 0 && shard < rec.shards.cells ? shard : -1;
+  };
+}
+
+/// A record's metadata without its sections: the replica a processor new
+/// to the array receives.  Copying the section map would cost a node and
+/// two vectors per owned shard plus a storage refcount bump.
+ArrayRecord replica_of(const ArrayRecord& r) {
+  ArrayRecord out;
+  out.id = r.id;
+  out.type = r.type;
+  out.dims = r.dims;
+  out.processors = r.processors;
+  out.pool = r.pool;
+  out.grid_dims = r.grid_dims;
+  out.local_dims = r.local_dims;
+  out.borders = r.borders;
+  out.dims_plus = r.dims_plus;
+  out.indexing = r.indexing;
+  out.grid_indexing = r.grid_indexing;
+  out.shards = r.shards;
+  out.stats = r.stats;
+  return out;
+}
+
+/// Charges an owner-side access of `bytes` to the shard's traffic counter
+/// and, when observability is on, to the request's span and am.bytes_moved.
+void charge(ArrayRecord& rec, long long shard, std::uint64_t bytes,
+            obs::Span& span) {
+  rec.stats->add(static_cast<std::size_t>(shard), bytes);
+  if (obs::enabled()) {
+    span.set_arg1(bytes);
+    am_bytes_moved().add(bytes);
+  }
+}
+
 }  // namespace
 
 ShardMap ShardMap::initial(long long cells, const std::vector<int>& pool) {
@@ -135,6 +182,7 @@ void ArrayManager::set_border_lookup(BorderLookup lookup) {
 
 void ArrayManager::set_trace(TraceFn trace) {
   std::lock_guard<std::mutex> lock(trace_mutex_);
+  trace_set_.store(trace != nullptr, std::memory_order_release);
   trace_ = std::move(trace);
 }
 
@@ -150,6 +198,7 @@ Status ArrayManager::traced(std::string_view op, int on_proc, ArrayId id,
   static obs::ShardedCounter& requests =
       obs::Registry::instance().counter("am.requests");
   if (obs::enabled()) requests.add();
+  if (!trace_set_.load(std::memory_order_acquire)) return status;
   TraceFn trace;
   {
     std::lock_guard<std::mutex> lock(trace_mutex_);
@@ -293,7 +342,6 @@ Status ArrayManager::create_array(int on_proc, ElemType type,
       }
       id_out = meta.id;
       return Status::Ok;
-
   }();
   return traced("create_array", on_proc, id_out, st);
 }
@@ -318,32 +366,14 @@ void ArrayManager::create_local(int p, const ArrayRecord& meta,
   n.records[record.id] = std::move(record);
 }
 
-Status ArrayManager::fetch_record(int on_proc, ArrayId id,
-                                  ArrayRecord& meta_out) const {
+template <class Fn>
+Status ArrayManager::with_record(int on_proc, ArrayId id, Fn fn) {
   if (!machine_.valid_proc(on_proc)) return Status::Invalid;
-  const Node& n = node(on_proc);
+  Node& n = node(on_proc);
   std::lock_guard<std::mutex> lock(n.mutex);
   auto it = n.records.find(id);
   if (it == n.records.end()) return Status::NotFound;
-  // Metadata only: copying the sections map would touch every owned
-  // shard's storage refcount under the node lock — a cross-thread
-  // cache-line storm on the request hot path, for state no caller reads.
-  const ArrayRecord& rec = it->second;
-  meta_out.id = rec.id;
-  meta_out.type = rec.type;
-  meta_out.dims = rec.dims;
-  meta_out.processors = rec.processors;
-  meta_out.pool = rec.pool;
-  meta_out.grid_dims = rec.grid_dims;
-  meta_out.local_dims = rec.local_dims;
-  meta_out.borders = rec.borders;
-  meta_out.dims_plus = rec.dims_plus;
-  meta_out.indexing = rec.indexing;
-  meta_out.grid_indexing = rec.grid_indexing;
-  meta_out.shards = rec.shards;
-  meta_out.sections.clear();
-  meta_out.stats = rec.stats;
-  return Status::Ok;
+  return fn(it->second);
 }
 
 Status ArrayManager::free_array(int on_proc, ArrayId id) {
@@ -351,8 +381,11 @@ Status ArrayManager::free_array(int on_proc, ArrayId id) {
                  static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
                  &am_service_hist());
   const Status st = [&]() -> Status {
-      ArrayRecord meta;
-      if (Status st = fetch_record(on_proc, id, meta); !ok(st)) return st;
+      if (Status st = with_record(on_proc, id,
+                                  [](ArrayRecord&) { return Status::Ok; });
+          !ok(st)) {
+        return st;
+      }
       // Migration may have spread replicas anywhere; sweep every node.
       for (int p = 0; p < machine_.nprocs(); ++p) {
         Node& n = node(p);
@@ -360,7 +393,6 @@ Status ArrayManager::free_array(int on_proc, ArrayId id) {
         n.records.erase(id);
       }
       return Status::Ok;
-
   }();
   return traced("free_array", on_proc, id, st);
 }
@@ -378,42 +410,65 @@ bool ArrayManager::wait_route_change(
   });
 }
 
-Status ArrayManager::with_shard(
-    ArrayRecord& meta, long long shard,
-    const std::function<Status(ArrayRecord&, ShardSection&)>& fn) {
-  const auto deadline = std::chrono::steady_clock::now() + kQuiesceTimeout;
+template <class Locate, class Fn>
+Status ArrayManager::with_shard(int on_proc, ArrayId id, Locate locate,
+                                Fn fn) {
+  // Route on the requester's replica; when the requester owns the shard,
+  // the access runs under this one lock.
+  long long shard = -1;
+  int owner = -1;
+  std::uint64_t epoch = 0;
+  bool done = false;
+  const Status routed = with_record(on_proc, id, [&](ArrayRecord& rec) {
+    shard = locate(rec);
+    if (shard < 0) return Status::Invalid;
+    owner = rec.shards.owner_of(shard);
+    epoch = rec.shards.epoch;
+    if (owner != on_proc) return Status::Ok;
+    auto sit = rec.sections.find(shard);
+    if (sit == rec.sections.end() || sit->second.migrating) return Status::Ok;
+    done = true;
+    return fn(rec, sit->second, shard);
+  });
+  if (done || !ok(routed)) return routed;
+
+  std::optional<std::chrono::steady_clock::time_point> deadline;
   for (;;) {
     // Read the generation before inspecting the node: a migration that
     // completes between the inspection and the wait below then wakes the
     // wait immediately instead of being missed.
     const std::uint64_t gen = route_gen();
-    const int owner = meta.shards.owner_of(shard);
     {
       Node& n = node(owner);
       std::lock_guard<std::mutex> lock(n.mutex);
-      auto it = n.records.find(meta.id);
+      auto it = n.records.find(id);
       if (it == n.records.end()) return Status::NotFound;  // freed
       ArrayRecord& rec = it->second;
       auto sit = rec.sections.find(shard);
       if (sit != rec.sections.end() && !sit->second.migrating) {
-        return fn(rec, sit->second);
+        return fn(rec, sit->second, shard);
       }
       // The shard is not accessible here: either it has moved (this
-      // replica's table is fresher than ours — adopt it and re-route) or a
-      // migration holds it quiesced (wait for it to finish).
-      if (rec.shards.epoch > meta.shards.epoch) {
-        meta.shards = rec.shards;
+      // replica's table is fresher than ours — adopt its route for this
+      // shard and follow it) or a migration holds it quiesced (wait for it
+      // to finish).
+      if (rec.shards.epoch > epoch) {
+        owner = rec.shards.owner_of(shard);
+        epoch = rec.shards.epoch;
         if (obs::enabled()) {
           am_shard_forwards().add();
           obs::instant(obs::Op::AmShardForward, 0,
-                       static_cast<std::uint64_t>(shard), rec.shards.epoch);
+                       static_cast<std::uint64_t>(shard), epoch);
         }
-        continue;  // fresh table in hand: re-route without waiting
+        continue;  // fresh route in hand: follow it without waiting
       }
     }
     // Never wait holding a node lock: the migration that will unblock us
     // needs it.
-    if (!wait_route_change(gen, deadline)) return Status::Error;
+    if (!deadline) {
+      deadline = std::chrono::steady_clock::now() + kQuiesceTimeout;
+    }
+    if (!wait_route_change(gen, *deadline)) return Status::Error;
   }
 }
 
@@ -422,32 +477,19 @@ Status ArrayManager::read_element(int on_proc, ArrayId id,
   obs::Span span(obs::Op::AmRead, 0,
                  static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
                  &am_service_hist());
-  const Status st = [&]() -> Status {
-      ArrayRecord meta;
-      if (Status st = fetch_record(on_proc, id, meta); !ok(st)) return st;
-      if (!indices_in_range(indices, meta.dims)) return Status::Invalid;
-
-      GlobalMap m = map_global(indices, meta.local_dims);
-      const long long shard =
-          grid_rank(m.grid_pos, meta.grid_dims, meta.grid_indexing);
-      return with_shard(meta, shard, [&](ArrayRecord& rec, ShardSection& sec) {
-        const long long off = local_offset(m.local_idx, sec.interior,
-                                           rec.borders, rec.indexing);
+  const Status st = with_shard(
+      on_proc, id, element_shard(indices),
+      [&](ArrayRecord& rec, ShardSection& sec, long long shard) {
+        const long long off = element_offset(
+            indices, rec.local_dims, sec.interior, rec.borders, rec.indexing);
         if (rec.type == ElemType::Float64) {
           out = sec.storage->read_f64(off);
         } else {
           out = sec.storage->read_i32(off);
         }
-        const std::uint64_t bytes = elem_size(rec.type);
-        rec.stats->add(static_cast<std::size_t>(shard), bytes);
-        if (obs::enabled()) {
-          span.set_arg1(bytes);
-          am_bytes_moved().add(bytes);
-        }
+        charge(rec, shard, elem_size(rec.type), span);
         return Status::Ok;
       });
-
-  }();
   return traced("read_element", on_proc, id, st);
 }
 
@@ -457,88 +499,42 @@ Status ArrayManager::write_element(int on_proc, ArrayId id,
   obs::Span span(obs::Op::AmWrite, 0,
                  static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
                  &am_service_hist());
-  const Status st = [&]() -> Status {
-      ArrayRecord meta;
-      if (Status st = fetch_record(on_proc, id, meta); !ok(st)) return st;
-      if (!indices_in_range(indices, meta.dims)) return Status::Invalid;
-
-      GlobalMap m = map_global(indices, meta.local_dims);
-      const long long shard =
-          grid_rank(m.grid_pos, meta.grid_dims, meta.grid_indexing);
-      return with_shard(meta, shard, [&](ArrayRecord& rec, ShardSection& sec) {
-        const long long off = local_offset(m.local_idx, sec.interior,
-                                           rec.borders, rec.indexing);
+  const Status st = with_shard(
+      on_proc, id, element_shard(indices),
+      [&](ArrayRecord& rec, ShardSection& sec, long long shard) {
+        const long long off = element_offset(
+            indices, rec.local_dims, sec.interior, rec.borders, rec.indexing);
         if (rec.type == ElemType::Float64) {
           sec.storage->write_f64(off, scalar_to_double(value));
         } else {
           sec.storage->write_i32(off, scalar_to_int(value));
         }
-        const std::uint64_t bytes = elem_size(rec.type);
-        rec.stats->add(static_cast<std::size_t>(shard), bytes);
-        if (obs::enabled()) {
-          span.set_arg1(bytes);
-          am_bytes_moved().add(bytes);
-        }
+        charge(rec, shard, elem_size(rec.type), span);
         return Status::Ok;
       });
-
-  }();
   return traced("write_element", on_proc, id, st);
 }
 
 Status ArrayManager::find_local(int on_proc, ArrayId id,
                                 LocalSectionView& out) {
-  obs::Span span(obs::Op::AmFindLocal, 0,
-                 static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
-                 &am_service_hist());
-  const Status st = [&]() -> Status {
-      out = LocalSectionView{};
-      if (!machine_.valid_proc(on_proc)) return Status::Invalid;
-      const auto deadline =
-          std::chrono::steady_clock::now() + kQuiesceTimeout;
-      for (;;) {
-        const std::uint64_t gen = route_gen();
-        {
-          Node& n = node(on_proc);
-          std::lock_guard<std::mutex> lock(n.mutex);
-          auto it = n.records.find(id);
-          if (it == n.records.end() || it->second.sections.empty()) {
-            return Status::NotFound;
-          }
-          // The lowest-ranked owned shard: for un-migrated arrays with one
-          // shard per owner this is *the* local section, exactly the
-          // historical behaviour.
-          const ArrayRecord& r = it->second;
-          const ShardSection& sec = r.sections.begin()->second;
-          if (!sec.migrating) {
-            out.type = r.type;
-            out.interior_dims = sec.interior;
-            out.borders = r.borders;
-            out.dims_plus = sec.dims_plus;
-            out.indexing = r.indexing;
-            out.section = sec.storage;
-            return Status::Ok;
-          }
-        }
-        // Migration in flight: handing out the quiesced storage would let
-        // the caller mutate the payload being shipped.  Wait it out.
-        if (!wait_route_change(gen, deadline)) return Status::Error;
-      }
-
-  }();
-  return traced("find_local", on_proc, id, st);
+  return find_section(on_proc, id, std::nullopt, out);
 }
 
 Status ArrayManager::find_local_shard(int on_proc, ArrayId id, long long shard,
                                       LocalSectionView& out) {
+  return find_section(on_proc, id, shard, out);
+}
+
+Status ArrayManager::find_section(int on_proc, ArrayId id,
+                                  std::optional<long long> shard,
+                                  LocalSectionView& out) {
   obs::Span span(obs::Op::AmFindLocal, 0,
                  static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
                  &am_service_hist());
   const Status st = [&]() -> Status {
       out = LocalSectionView{};
       if (!machine_.valid_proc(on_proc)) return Status::Invalid;
-      const auto deadline =
-          std::chrono::steady_clock::now() + kQuiesceTimeout;
+      std::optional<std::chrono::steady_clock::time_point> deadline;
       for (;;) {
         const std::uint64_t gen = route_gen();
         {
@@ -547,7 +543,10 @@ Status ArrayManager::find_local_shard(int on_proc, ArrayId id, long long shard,
           auto it = n.records.find(id);
           if (it == n.records.end()) return Status::NotFound;
           const ArrayRecord& r = it->second;
-          auto sit = r.sections.find(shard);
+          // Without a shard, the lowest-ranked owned shard: for un-migrated
+          // arrays with one shard per owner this is *the* local section,
+          // exactly the historical behaviour.
+          auto sit = shard ? r.sections.find(*shard) : r.sections.begin();
           if (sit == r.sections.end()) return Status::NotFound;
           if (!sit->second.migrating) {
             out.type = r.type;
@@ -559,11 +558,15 @@ Status ArrayManager::find_local_shard(int on_proc, ArrayId id, long long shard,
             return Status::Ok;
           }
         }
-        // Quiesced mid-migration: wait; once the move lands the section is
-        // erased here and the retry reports NotFound (no longer local).
-        if (!wait_route_change(gen, deadline)) return Status::Error;
+        // Migration in flight: handing out the quiesced storage would let
+        // the caller mutate the payload being shipped.  Wait it out; once
+        // the move lands the section is gone from here and a retry for the
+        // same shard reports NotFound (no longer local).
+        if (!deadline) {
+          deadline = std::chrono::steady_clock::now() + kQuiesceTimeout;
+        }
+        if (!wait_route_change(gen, *deadline)) return Status::Error;
       }
-
   }();
   return traced("find_local", on_proc, id, st);
 }
@@ -586,7 +589,6 @@ Status ArrayManager::read_shard_locked(const ArrayRecord& rec,
                   base + static_cast<std::size_t>(src) * esize, esize);
     }
   }
-  if (obs::enabled()) am_bytes_moved().add(staging.size());
   // take(): the one packing copy above is the only copy this snapshot
   // ever costs, however many consumers the payload is shipped to.
   out = vp::Payload::take(std::move(staging));
@@ -612,7 +614,6 @@ Status ArrayManager::write_shard_locked(ArrayRecord& rec, ShardSection& sec,
                   data.data() + static_cast<std::size_t>(lin) * esize, esize);
     }
   }
-  if (obs::enabled()) am_bytes_moved().add(data.size());
   return Status::Ok;
 }
 
@@ -621,21 +622,14 @@ Status ArrayManager::read_shard(int on_proc, ArrayId id, long long shard,
   obs::Span span(obs::Op::AmReadSection, 0,
                  static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
                  &am_service_hist());
-  const Status st = [&]() -> Status {
-      out = vp::Payload();
-      ArrayRecord meta;
-      if (Status st = fetch_record(on_proc, id, meta); !ok(st)) return st;
-      if (shard < 0 || shard >= meta.shards.cells) return Status::Invalid;
-      return with_shard(meta, shard, [&](ArrayRecord& rec, ShardSection& sec) {
+  out = vp::Payload();
+  const Status st = with_shard(
+      on_proc, id, shard_in_range(shard),
+      [&](ArrayRecord& rec, ShardSection& sec, long long) {
         Status st = read_shard_locked(rec, sec, out);
-        if (ok(st)) {
-          rec.stats->add(static_cast<std::size_t>(shard), out.size());
-          span.set_arg1(out.size());
-        }
+        if (ok(st)) charge(rec, shard, out.size(), span);
         return st;
       });
-
-  }();
   return traced("read_shard", on_proc, id, st);
 }
 
@@ -644,31 +638,24 @@ Status ArrayManager::write_shard(int on_proc, ArrayId id, long long shard,
   obs::Span span(obs::Op::AmWriteSection, 0,
                  static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
                  &am_service_hist());
-  const Status st = [&]() -> Status {
-      ArrayRecord meta;
-      if (Status st = fetch_record(on_proc, id, meta); !ok(st)) return st;
-      if (shard < 0 || shard >= meta.shards.cells) return Status::Invalid;
-      return with_shard(meta, shard, [&](ArrayRecord& rec, ShardSection& sec) {
+  const Status st = with_shard(
+      on_proc, id, shard_in_range(shard),
+      [&](ArrayRecord& rec, ShardSection& sec, long long) {
         Status st = write_shard_locked(rec, sec, data);
-        if (ok(st)) {
-          rec.stats->add(static_cast<std::size_t>(shard), data.size());
-          span.set_arg1(data.size());
-        }
+        if (ok(st)) charge(rec, shard, data.size(), span);
         return st;
       });
-
-  }();
   return traced("write_shard", on_proc, id, st);
 }
 
 Status ArrayManager::shard_owner(int on_proc, ArrayId id, long long shard,
                                  int& owner_out, std::uint64_t& epoch_out) {
-  ArrayRecord meta;
-  if (Status st = fetch_record(on_proc, id, meta); !ok(st)) return st;
-  if (shard < 0 || shard >= meta.shards.cells) return Status::Invalid;
-  owner_out = meta.shards.owner_of(shard);
-  epoch_out = meta.shards.epoch;
-  return Status::Ok;
+  return with_record(on_proc, id, [&](ArrayRecord& meta) {
+    if (shard < 0 || shard >= meta.shards.cells) return Status::Invalid;
+    owner_out = meta.shards.owner_of(shard);
+    epoch_out = meta.shards.epoch;
+    return Status::Ok;
+  });
 }
 
 Status ArrayManager::find_info(int on_proc, ArrayId id, InfoKind which,
@@ -676,9 +663,7 @@ Status ArrayManager::find_info(int on_proc, ArrayId id, InfoKind which,
   obs::Span span(obs::Op::AmFindInfo, 0,
                  static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
                  &am_service_hist());
-  const Status st = [&]() -> Status {
-      ArrayRecord meta;
-      if (Status st = fetch_record(on_proc, id, meta); !ok(st)) return st;
+  const Status st = with_record(on_proc, id, [&](const ArrayRecord& meta) {
       switch (which) {
         case InfoKind::Type:
           out = meta.type;
@@ -735,8 +720,7 @@ Status ArrayManager::find_info(int on_proc, ArrayId id, InfoKind which,
           return Status::Ok;
       }
       return Status::Invalid;
-
-  }();
+  });
   return traced("find_info", on_proc, id, st);
 }
 
@@ -747,20 +731,27 @@ Status ArrayManager::verify_array(int on_proc, ArrayId id, int n_dims,
                  static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
                  &am_service_hist());
   const Status st = [&]() -> Status {
-      ArrayRecord meta;
-      if (Status st = fetch_record(on_proc, id, meta); !ok(st)) return st;
-      if (n_dims != static_cast<int>(meta.dims.size())) return Status::Invalid;
-      if (indexing != meta.indexing) return Status::Invalid;
+      std::vector<int> have;
+      if (Status st = with_record(on_proc, id, [&](const ArrayRecord& meta) {
+            if (n_dims != static_cast<int>(meta.dims.size()) ||
+                indexing != meta.indexing) {
+              return Status::Invalid;
+            }
+            have = meta.borders;
+            return Status::Ok;
+          });
+          !ok(st)) {
+        return st;
+      }
 
       std::vector<int> want;
       if (Status st = resolve_borders(expected, n_dims, want); !ok(st)) return st;
-      if (want == meta.borders) return Status::Ok;
+      if (want == have) return Status::Ok;
 
       // copy_local updates every replica's metadata and reallocates any
       // sections it holds, wherever migration has put them.
       for (int p = 0; p < machine_.nprocs(); ++p) copy_local(p, id, want);
       return Status::Ok;
-
   }();
   return traced("verify_array", on_proc, id, st);
 }
@@ -834,8 +825,14 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
         std::lock_guard<std::mutex> mig(migrate_mutex_);
 
         ArrayRecord meta;
-        if (Status st = fetch_record(on_proc, id, meta); !ok(st)) return st;
-        if (shard < 0 || shard >= meta.shards.cells) return Status::Invalid;
+        if (Status st = with_record(on_proc, id, [&](const ArrayRecord& r) {
+              if (shard < 0 || shard >= r.shards.cells) return Status::Invalid;
+              meta = replica_of(r);
+              return Status::Ok;
+            });
+            !ok(st)) {
+          return st;
+        }
         const int from = meta.shards.owner_of(shard);
         // Idempotent: a faulted retry of a migration that already completed
         // finds the shard at its destination and succeeds with no work.
@@ -871,11 +868,7 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
           Node& dst = node(to_proc);
           std::lock_guard<std::mutex> lock(dst.mutex);
           auto [it, inserted] = dst.records.try_emplace(id);
-          if (inserted) {
-            ArrayRecord replica = meta;
-            replica.sections.clear();
-            it->second = std::move(replica);
-          }
+          if (inserted) it->second = meta;
           ShardSection sec;
           sec.interior = std::move(interior);
           sec.dims_plus = sec_plus;
@@ -931,7 +924,6 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
       }
       route_cv_.notify_all();
       return mst;
-
   }();
   return traced("migrate_shard", on_proc, id, st);
 }
@@ -942,20 +934,22 @@ Status ArrayManager::propose_rebalance(int on_proc, ArrayId id,
   moves_out.clear();
   if (max_ratio <= 0.0) return Status::Invalid;
   if (max_ratio < 1.0) max_ratio = 1.0;
-  ArrayRecord meta;
-  if (Status st = fetch_record(on_proc, id, meta); !ok(st)) return st;
-
-  const long long cells = meta.shards.cells;
-  std::vector<std::uint64_t> traffic(static_cast<std::size_t>(cells));
-  std::vector<int> owner(static_cast<std::size_t>(cells));
+  long long cells = 0;
+  std::vector<std::uint64_t> traffic;
+  std::vector<int> owner;
   std::map<int, std::uint64_t> load;
-  for (int p : meta.pool) load[p] = 0;
-  for (long long s = 0; s < cells; ++s) {
-    traffic[static_cast<std::size_t>(s)] =
-        meta.stats->read(static_cast<std::size_t>(s));
-    owner[static_cast<std::size_t>(s)] = meta.shards.owner_of(s);
-    load[owner[static_cast<std::size_t>(s)]] +=
-        traffic[static_cast<std::size_t>(s)];
+  if (Status st = with_record(on_proc, id, [&](const ArrayRecord& meta) {
+        cells = meta.shards.cells;
+        for (int p : meta.pool) load[p] = 0;
+        for (long long s = 0; s < cells; ++s) {
+          traffic.push_back(meta.stats->read(static_cast<std::size_t>(s)));
+          owner.push_back(meta.shards.owner_of(s));
+          load[owner.back()] += traffic.back();
+        }
+        return Status::Ok;
+      });
+      !ok(st)) {
+    return st;
   }
 
   // Greedy: while the hottest processor exceeds the coldest by more than
@@ -1001,8 +995,14 @@ Status ArrayManager::rebalance(int on_proc, ArrayId id, double max_ratio,
                  &am_service_hist());
   const Status st = [&]() -> Status {
       if (moved_out != nullptr) *moved_out = 0;
-      ArrayRecord meta;
-      if (Status st = fetch_record(on_proc, id, meta); !ok(st)) return st;
+      std::shared_ptr<ShardStats> stats;
+      if (Status st = with_record(on_proc, id, [&](const ArrayRecord& meta) {
+            stats = meta.stats;
+            return Status::Ok;
+          });
+          !ok(st)) {
+        return st;
+      }
       const double ratio = max_ratio > 0.0 ? max_ratio : env_rebalance_ratio();
       if (ratio <= 0.0) return Status::Ok;  // rebalancing disabled
 
@@ -1017,14 +1017,13 @@ Status ArrayManager::rebalance(int on_proc, ArrayId id, double max_ratio,
       }
       // The traffic window restarts after every pass, so stale history
       // cannot pin a shard to a processor it no longer favours.
-      meta.stats->reset();
+      stats->reset();
       if (moved_out != nullptr) *moved_out = static_cast<int>(moves.size());
       if (obs::enabled()) {
         span.set_arg1(moves.size());
         am_rebalances().add();
       }
       return Status::Ok;
-
   }();
   return traced("rebalance", on_proc, id, st);
 }

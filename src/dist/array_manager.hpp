@@ -290,9 +290,11 @@ class ArrayManager {
     return nodes_[static_cast<std::size_t>(p)];
   }
 
-  /// Copies a record's metadata from processor `on_proc` (no storage).
-  /// Returns Status::NotFound if the processor has no valid record.
-  Status fetch_record(int on_proc, ArrayId id, ArrayRecord& meta_out) const;
+  /// Runs `fn(ArrayRecord&)` on `on_proc`'s record of `id` under that
+  /// node's lock and returns its status; Status::Invalid for a bad
+  /// processor, Status::NotFound when the processor has no record.
+  template <class Fn>
+  Status with_record(int on_proc, ArrayId id, Fn fn);
 
   /// Resolves a BorderSpec to concrete 2*ndims sizes.
   Status resolve_borders(const BorderSpec& spec, int ndims,
@@ -309,14 +311,22 @@ class ArrayManager {
   /// and copies the interiors; updates p's record metadata.
   void copy_local(int p, ArrayId id, const std::vector<int>& new_borders);
 
-  /// The element/section access core: locks the owner the routing table
-  /// names, re-resolving through fresher replicas when the shard has moved
-  /// (stale-epoch forwarding) and retrying while a migration holds the
-  /// shard quiesced.  `fn` runs under the owner node's mutex with the
-  /// record and the shard's section; it must not block.
-  Status with_shard(ArrayRecord& meta, long long shard,
-                    const std::function<Status(ArrayRecord&, ShardSection&)>&
-                        fn);
+  /// find_local (no `shard`: the lowest-ranked owned shard) and
+  /// find_local_shard: waits out an in-flight migration of the section.
+  Status find_section(int on_proc, ArrayId id, std::optional<long long> shard,
+                      LocalSectionView& out);
+
+  /// The element/section access core.  Under `on_proc`'s lock it finds
+  /// the record, asks `locate(const ArrayRecord&)` for the shard rank (< 0
+  /// means Status::Invalid) and reads that shard's owner and epoch; when
+  /// `on_proc` owns the shard and it is not quiesced, `fn` runs right there.
+  /// Otherwise it locks the owner, following a fresher replica's owner and
+  /// epoch for this shard when the shard has moved (stale-epoch forwarding)
+  /// and waiting while a migration holds it quiesced.  `fn(ArrayRecord&,
+  /// ShardSection&, long long shard)` runs under the owner node's mutex; it
+  /// must not block.  Nothing on the route allocates.
+  template <class Locate, class Fn>
+  Status with_shard(int on_proc, ArrayId id, Locate locate, Fn fn);
 
   /// The current route generation (bumped at every migration completion).
   std::uint64_t route_gen() const;
@@ -342,6 +352,9 @@ class ArrayManager {
   BorderLookup border_lookup_;
   TraceFn trace_;
   mutable std::mutex trace_mutex_;
+  /// trace_ != nullptr, readable without trace_mutex_: the silent version
+  /// never takes the lock.
+  std::atomic<bool> trace_set_{false};
   std::vector<Node> nodes_;
 
   /// Repartition-barrier state: per-array pin counts and, per array, the

@@ -119,19 +119,30 @@ std::vector<int> dims_plus_borders(const std::vector<int>& interior,
   return out;
 }
 
-long long linearize(std::span<const int> idx, std::span<const int> dims,
-                    Indexing ordering) {
+namespace {
+
+/// linearize() over index and extent functions of the dimension, so callers
+/// that derive either on the fly (borders, the global-to-local split) build
+/// no temporary vectors.
+template <class At, class Extent>
+long long linearize_with(std::size_t n, At at, Extent extent,
+                         Indexing ordering) {
   long long lin = 0;
   if (ordering == Indexing::RowMajor) {
-    for (std::size_t d = 0; d < dims.size(); ++d) {
-      lin = lin * dims[d] + idx[d];
-    }
+    for (std::size_t d = 0; d < n; ++d) lin = lin * extent(d) + at(d);
   } else {
-    for (std::size_t d = dims.size(); d-- > 0;) {
-      lin = lin * dims[d] + idx[d];
-    }
+    for (std::size_t d = n; d-- > 0;) lin = lin * extent(d) + at(d);
   }
   return lin;
+}
+
+}  // namespace
+
+long long linearize(std::span<const int> idx, std::span<const int> dims,
+                    Indexing ordering) {
+  return linearize_with(
+      dims.size(), [&](std::size_t d) { return idx[d]; },
+      [&](std::size_t d) { return dims[d]; }, ordering);
 }
 
 std::vector<int> delinearize(long long lin, std::span<const int> dims,
@@ -176,13 +187,37 @@ std::vector<int> unmap_global(std::span<const int> grid_pos,
 long long local_offset(std::span<const int> local_idx,
                        std::span<const int> interior_dims,
                        std::span<const int> borders, Indexing ordering) {
-  std::vector<int> shifted(local_idx.size());
-  std::vector<int> plus(local_idx.size());
-  for (std::size_t d = 0; d < local_idx.size(); ++d) {
-    shifted[d] = local_idx[d] + borders[2 * d];
-    plus[d] = interior_dims[d] + borders[2 * d] + borders[2 * d + 1];
-  }
-  return linearize(shifted, plus, ordering);
+  return linearize_with(
+      local_idx.size(),
+      [&](std::size_t d) { return local_idx[d] + borders[2 * d]; },
+      [&](std::size_t d) {
+        return interior_dims[d] + borders[2 * d] + borders[2 * d + 1];
+      },
+      ordering);
+}
+
+long long element_offset(std::span<const int> global_idx,
+                         std::span<const int> local_dims,
+                         std::span<const int> interior_dims,
+                         std::span<const int> borders, Indexing ordering) {
+  return linearize_with(
+      global_idx.size(),
+      [&](std::size_t d) {
+        return global_idx[d] % local_dims[d] + borders[2 * d];
+      },
+      [&](std::size_t d) {
+        return interior_dims[d] + borders[2 * d] + borders[2 * d + 1];
+      },
+      ordering);
+}
+
+long long shard_rank(std::span<const int> global_idx,
+                     std::span<const int> local_dims,
+                     std::span<const int> grid_dims, Indexing grid_ordering) {
+  return linearize_with(
+      grid_dims.size(),
+      [&](std::size_t d) { return global_idx[d] / local_dims[d]; },
+      [&](std::size_t d) { return grid_dims[d]; }, grid_ordering);
 }
 
 long long grid_rank(std::span<const int> grid_pos,

@@ -86,6 +86,21 @@ long long local_offset(std::span<const int> local_idx,
                        std::span<const int> interior_dims,
                        std::span<const int> borders, Indexing ordering);
 
+/// local_offset(map_global(global_idx, local_dims).local_idx, ...): the
+/// storage offset of a global index within the section of the cell that
+/// holds it, computed without building the GlobalMap.
+long long element_offset(std::span<const int> global_idx,
+                         std::span<const int> local_dims,
+                         std::span<const int> interior_dims,
+                         std::span<const int> borders, Indexing ordering);
+
+/// grid_rank(map_global(global_idx, local_dims).grid_pos, ...): the rank of
+/// the shard (grid cell) holding a global index, computed without building
+/// the GlobalMap.
+long long shard_rank(std::span<const int> global_idx,
+                     std::span<const int> local_dims,
+                     std::span<const int> grid_dims, Indexing grid_ordering);
+
 /// Rank of a grid position in the 1-dimensional processors array, using the
 /// grid's indexing type (§3.2.1.4).
 long long grid_rank(std::span<const int> grid_pos,

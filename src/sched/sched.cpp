@@ -644,7 +644,10 @@ class Scheduler {
         ready(t);
         continue;
       }
-      timer_cv_.wait_until(lock, it->first);
+      // Copy the deadline: cancel_timer may erase the node while we wait,
+      // and wait_until re-reads its argument after waking.
+      const auto deadline = it->first;
+      timer_cv_.wait_until(lock, deadline);
     }
   }
 

@@ -3,15 +3,37 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <ostream>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "dist/array_manager.hpp"
+#include "obs/trace.hpp"
 #include "pcn/process.hpp"
 #include "util/node_array.hpp"
 #include "vp/machine.hpp"
+
+// Heap allocations made by the calling thread while t_count_allocs is set:
+// a replaced global operator new lets ElementRequestsDoNotAllocate see
+// every allocation on the element path, wherever it comes from.
+namespace {
+thread_local bool t_count_allocs = false;
+thread_local long t_allocs = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (t_count_allocs) ++t_allocs;
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace tdp::dist {
 namespace {
@@ -524,6 +546,167 @@ TEST_F(ArrayManagerTest, TraceHookReportsEveryOperation) {
   ArrayId id2 = make_vector(8, util::iota_nodes(4));
   (void)id2;
   EXPECT_EQ(ops.size(), 8u);
+}
+
+/// Heap allocations the calling thread makes inside `body`.
+template <class Body>
+long allocations_in(Body body) {
+  t_allocs = 0;
+  t_count_allocs = true;
+  body();
+  t_count_allocs = false;
+  return t_allocs;
+}
+
+TEST_F(ArrayManagerTest, ElementRequestsDoNotAllocate) {
+  const bool obs_was = obs::enabled();
+  obs::set_enabled(false);
+  // Created on processor 5, which owns no shard: requests made there route
+  // to the owner; requests made on processor 1 hit its own shard (4..7).
+  ArrayId id;
+  ASSERT_EQ(am_.create_array(5, ElemType::Float64, {16}, util::iota_nodes(4),
+                             {DimSpec::block()}, BorderSpec::none(),
+                             Indexing::RowMajor, id),
+            Status::Ok);
+  for (const int on_proc : {1, 5}) {
+    int idx[1] = {5};
+    Scalar v;
+    // Warm the request path's function-local statics outside the count.
+    ASSERT_EQ(am_.write_element(on_proc, id, idx, Scalar{0.5}), Status::Ok);
+    ASSERT_EQ(am_.read_element(on_proc, id, idx, v), Status::Ok);
+    int failures = 0;
+    const long allocs = allocations_in([&] {
+      for (int i = 0; i < 1000; ++i) {
+        idx[0] = 4 + i % 4;
+        if (!ok(am_.write_element(on_proc, id, idx, Scalar{1.0 * i}))) {
+          ++failures;
+        }
+        if (!ok(am_.read_element(on_proc, id, idx, v)) ||
+            std::get<double>(v) != 1.0 * i) {
+          ++failures;
+        }
+      }
+    });
+    EXPECT_EQ(failures, 0) << "on processor " << on_proc;
+    EXPECT_EQ(allocs, 0) << "on processor " << on_proc;
+  }
+  obs::set_enabled(obs_was);
+}
+
+TEST_F(ArrayManagerTest, ElementOffsetsMatchShardViewsWithBordersAndUnevenCells) {
+  // 7x5, column-major, on a 2x2 grid: blocks are 4x3 and the trailing cells
+  // 3x3, 4x2 and 3x2; every section carries asymmetric borders.  Created on
+  // processor 6, which owns nothing, so both routes are exercised.
+  const std::vector<int> dims{7, 5};
+  const std::vector<int> owners{0, 1, 2, 3};
+  ArrayId id;
+  ASSERT_EQ(am_.create_array(6, ElemType::Float64, dims, owners,
+                             {DimSpec::block_n(2), DimSpec::block_n(2)},
+                             BorderSpec::exact({1, 2, 0, 1}),
+                             Indexing::ColumnMajor, id),
+            Status::Ok);
+  const std::vector<int> local{4, 3};
+  const std::vector<int> grid{2, 2};
+  std::vector<int> eligible = owners;
+  eligible.push_back(6);
+  auto view_of = [&](const std::vector<int>& g, LocalSectionView& view,
+                     long long& off) {
+    const GlobalMap m = map_global(g, local);
+    const long long shard = grid_rank(m.grid_pos, grid, Indexing::ColumnMajor);
+    int owner = -1;
+    std::uint64_t epoch = 0;
+    ASSERT_EQ(am_.shard_owner(6, id, shard, owner, epoch), Status::Ok);
+    ASSERT_EQ(am_.find_local_shard(owner, id, shard, view), Status::Ok);
+    off = view.offset(m.local_idx);
+  };
+  const long long n = element_count(dims);
+  // Values written straight into the views read back through every
+  // eligible processor's element requests...
+  for (long long lin = 0; lin < n; ++lin) {
+    const std::vector<int> g = delinearize(lin, dims, Indexing::ColumnMajor);
+    LocalSectionView view;
+    long long off = -1;
+    view_of(g, view, off);
+    view.f64()[off] = 10.0 + static_cast<double>(lin);
+  }
+  for (long long lin = 0; lin < n; ++lin) {
+    const std::vector<int> g = delinearize(lin, dims, Indexing::ColumnMajor);
+    for (int p : eligible) {
+      Scalar v;
+      ASSERT_EQ(am_.read_element(p, id, g, v), Status::Ok);
+      EXPECT_EQ(std::get<double>(v), 10.0 + static_cast<double>(lin))
+          << "element " << lin << " read on " << p;
+    }
+  }
+  // ...and element writes land at the view's offset, borders untouched.
+  for (long long lin = 0; lin < n; ++lin) {
+    const std::vector<int> g = delinearize(lin, dims, Indexing::ColumnMajor);
+    const int p = eligible[static_cast<std::size_t>(lin) % eligible.size()];
+    ASSERT_EQ(am_.write_element(p, id, g, Scalar{-1.0 * lin}), Status::Ok);
+    LocalSectionView view;
+    long long off = -1;
+    view_of(g, view, off);
+    EXPECT_EQ(view.f64()[off], -1.0 * lin) << "element " << lin;
+  }
+  for (long long shard = 0; shard < 4; ++shard) {
+    LocalSectionView view;
+    ASSERT_EQ(am_.find_local_shard(owners[static_cast<std::size_t>(shard)],
+                                   id, shard, view),
+              Status::Ok);
+    double interior_sum = 0.0;
+    double total_sum = 0.0;
+    for (long long i = 0; i < view.interior_count(); ++i) {
+      interior_sum +=
+          view.f64()[view.offset(delinearize(i, view.interior_dims,
+                                             Indexing::ColumnMajor))];
+    }
+    for (std::size_t i = 0; i < view.count_plus(); ++i) {
+      total_sum += view.f64()[i];
+    }
+    EXPECT_EQ(interior_sum, total_sum) << "borders written in shard " << shard;
+  }
+}
+
+TEST_F(ArrayManagerTest, NonOwnerWritesSurviveAShardBouncingBetweenOwners) {
+  // 4 shards of 4 elements on processors 0..3, created on processor 6.
+  ArrayId id;
+  ASSERT_EQ(am_.create_array(6, ElemType::Float64, {16}, util::iota_nodes(4),
+                             {DimSpec::block()}, BorderSpec::none(),
+                             Indexing::RowMajor, id),
+            Status::Ok);
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  constexpr int kRounds = 200;
+  // The writer on processor 6 (never an owner) sweeps every element; each
+  // sweep writes a fresh value, and the last sweep's values must all stick.
+  std::thread writer([&] {
+    for (int round = 1; round <= kRounds; ++round) {
+      for (int i = 0; i < 16; ++i) {
+        const int idx[1] = {i};
+        if (!ok(am_.write_element(6, id, idx, Scalar{round * 100.0 + i}))) {
+          failures.fetch_add(1);
+        }
+      }
+    }
+    stop.store(true);
+  });
+  // Shard 1 (elements 4..7) bounces between processors 1 and 4 meanwhile.
+  int moves = 0;
+  while (!stop.load()) {
+    ASSERT_EQ(am_.migrate_shard(0, id, 1, moves % 2 == 0 ? 4 : 1), Status::Ok);
+    ++moves;
+  }
+  writer.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(moves, 0);
+  for (int p : {0, 1, 2, 3, 6}) {
+    for (int i = 0; i < 16; ++i) {
+      Scalar v;
+      ASSERT_EQ(am_.read_element(p, id, std::vector<int>{i}, v), Status::Ok);
+      EXPECT_EQ(std::get<double>(v), kRounds * 100.0 + i)
+          << "element " << i << " read on " << p;
+    }
+  }
 }
 
 TEST_F(ArrayManagerTest, ConcurrentCreateFreeFromManyProcessors) {

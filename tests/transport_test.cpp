@@ -22,6 +22,7 @@
 
 #include "gtest/gtest.h"
 #include "obs/analyze.hpp"
+#include "obs/trace.hpp"
 #include "spmd/context.hpp"
 #include "vp/machine.hpp"
 #include "vp/transport.hpp"
@@ -488,6 +489,9 @@ TEST(TransportUds, PoisonOriginSurvivesTheWire) {
 }
 
 TEST(TransportUds, CrossProcessFlowsPairInMergedTraces) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "observability is compiled out: no per-rank traces";
+  }
   // Spawned by hand (not via launch()) because the trace path lives inside
   // the rendezvous dir, which must exist before the env is built.
   const std::string dir2 = make_rendezvous_dir();
