@@ -17,9 +17,25 @@
 //
 // Arrays are interleaved complex: element j occupies doubles 2j (real) and
 // 2j+1 (imaginary).  A length-N complex array is block-distributed over P
-// processors (P a power of two, N >= P), N/P complex elements per copy;
-// butterflies spanning processors are performed by a pairwise full exchange
-// of local blocks (each copy then computes its own elements).
+// processors (P a power of two, N >= P), b = N/P complex elements per copy.
+//
+// Kernel: radix-2 binary exchange, laid out for the cache.
+//   * Local stages (span m <= b) read their twiddles from one row of b/2
+//     points per call, row[j] = epsilon[j*P] = omega_b^j (conjugated for
+//     the forward transform), so stage m reads row[j*(b/m)] instead of
+//     striding through the N-point table.
+//   * The stages of span <= 1024 run depth-first on 1024-point (16 KiB)
+//     blocks, each block through all of them while it sits in L1 —
+//     decimation in time's first stages, decimation in frequency's last.
+//     The wider local stages sweep the whole block.
+//   * Stages spanning processors swap whole blocks with the partner copy
+//     (SpmdContext::exchange_payload, lower index sends first); each copy
+//     reads the partner's block where the received payload lies and
+//     computes its own elements.
+// These only reorder independent butterflies and read the table's own
+// twiddle values, so the output is bitwise identical to the stage-by-stage
+// kernel on one copy, for every P (tests/fft_test.cpp pins this with
+// memcmp).
 #pragma once
 
 #include <span>

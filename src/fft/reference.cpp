@@ -11,12 +11,15 @@ std::vector<std::complex<double>> naive_dft(
   const std::size_t n = x.size();
   std::vector<std::complex<double>> out(n);
   const double base = 2.0 * std::numbers::pi / static_cast<double>(n);
+  // w[t] = e^{sign*2*pi*i*t/n}: the exponent j*k only matters mod n.
+  std::vector<std::complex<double>> w(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    const double angle = base * static_cast<double>(t) * sign;
+    w[t] = {std::cos(angle), std::sin(angle)};
+  }
   for (std::size_t j = 0; j < n; ++j) {
     std::complex<double> acc{0.0, 0.0};
-    for (std::size_t k = 0; k < n; ++k) {
-      const double angle = base * static_cast<double>(j * k % n) * sign;
-      acc += x[k] * std::complex<double>(std::cos(angle), std::sin(angle));
-    }
+    for (std::size_t k = 0; k < n; ++k) acc += x[k] * w[j * k % n];
     out[j] = acc;
   }
   return out;

@@ -150,12 +150,14 @@ class WsDeque {
     return true;
   }
 
-  /// Owner only.
+  /// Owner only.  The seq_cst store of `bottom_` and load of `top_` here,
+  /// against the seq_cst loads of `top_` then `bottom_` in steal(), order
+  /// the race for the last element without a standalone fence, which TSan
+  /// does not model.
   Task* pop() {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    bottom_.store(b, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_relaxed);
+    bottom_.store(b, std::memory_order_seq_cst);
+    std::int64_t t = top_.load(std::memory_order_seq_cst);
     if (t > b) {
       bottom_.store(b + 1, std::memory_order_relaxed);
       return nullptr;
@@ -176,9 +178,8 @@ class WsDeque {
 
   /// Any thread.
   Task* steal() {
-    std::int64_t t = top_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_acquire);
+    std::int64_t t = top_.load(std::memory_order_seq_cst);
+    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
     if (t >= b) return nullptr;
     Task* task =
         cells_[static_cast<std::size_t>(t) & kMask].load(

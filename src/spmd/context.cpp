@@ -25,6 +25,13 @@ long long env_recv_timeout_ms() {
 // Programmatic override; negative = defer to the environment.
 std::atomic<long long> g_timeout_override{-1};
 
+// The user-facing delivery copy: payload -> caller's span of equal size.
+void deliver(const vp::Payload& p, std::span<std::byte> out) {
+  if (out.empty()) return;
+  std::memcpy(out.data(), p.data(), out.size());
+  vp::note_bytes_delivered(out.size());
+}
+
 }  // namespace
 
 long long recv_timeout_ms() {
@@ -157,22 +164,42 @@ vp::Payload SpmdContext::recv_payload(int src_index, int tag) {
   return std::move(m.payload);
 }
 
-void SpmdContext::recv_bytes_into(int src_index, int tag,
-                                  std::span<std::byte> out) {
+vp::Payload SpmdContext::recv_payload_sized(int src_index, int tag,
+                                            std::size_t bytes) {
   vp::Payload p = recv_payload(src_index, tag);
-  if (p.size() != out.size()) {
+  if (p.size() != bytes) {
     // Never truncate silently: a size mismatch here is always a protocol
     // bug (mismatched element type or count between sender and receiver).
     throw std::runtime_error(
         "SpmdContext::recv: size mismatch on tag " + std::to_string(tag) +
         " from src " + std::to_string(src_index) + ": received " +
-        std::to_string(p.size()) + " bytes into a " +
-        std::to_string(out.size()) + "-byte buffer");
+        std::to_string(p.size()) + " bytes into a " + std::to_string(bytes) +
+        "-byte buffer");
   }
-  if (!out.empty()) {
-    std::memcpy(out.data(), p.data(), out.size());
-    vp::note_bytes_delivered(out.size());
+  return p;
+}
+
+void SpmdContext::recv_bytes_into(int src_index, int tag,
+                                  std::span<std::byte> out) {
+  deliver(recv_payload_sized(src_index, tag, out.size()), out);
+}
+
+vp::Payload SpmdContext::exchange_payload(int partner_index, int tag,
+                                          std::span<const std::byte> mine,
+                                          std::size_t bytes) {
+  if (index_ < partner_index) {
+    send_bytes(partner_index, tag, mine);
+    return recv_payload_sized(partner_index, tag, bytes);
   }
+  vp::Payload theirs = recv_payload_sized(partner_index, tag, bytes);
+  send_bytes(partner_index, tag, mine);
+  return theirs;
+}
+
+void SpmdContext::exchange_bytes(int partner_index, int tag,
+                                 std::span<const std::byte> mine,
+                                 std::span<std::byte> theirs) {
+  deliver(exchange_payload(partner_index, tag, mine, theirs.size()), theirs);
 }
 
 double SpmdContext::allreduce_sum(double v) {

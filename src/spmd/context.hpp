@@ -289,17 +289,17 @@ class SpmdContext {
   template <typename T>
   void exchange(int partner_index, int tag, std::span<const T> mine,
                 std::span<T> theirs) {
-    // Deterministic order avoids any dependence on mailbox buffering: lower
-    // index sends first.  Mailboxes are unbounded so either order works,
-    // but determinism keeps message interleavings reproducible.
-    if (index_ < partner_index) {
-      send(partner_index, tag, mine);
-      recv(partner_index, tag, theirs);
-    } else {
-      recv(partner_index, tag, theirs);
-      send(partner_index, tag, mine);
-    }
+    exchange_bytes(partner_index, tag, std::as_bytes(mine),
+                   std::as_writable_bytes(theirs));
   }
+
+  /// The exchange without the delivery copy: sends `mine` and hands back
+  /// the partner's payload, which must be `bytes` long, to be read where it
+  /// lies.  The lower index sends first, so message interleavings stay
+  /// reproducible (mailboxes are unbounded, so either order would work).
+  vp::Payload exchange_payload(int partner_index, int tag,
+                               std::span<const std::byte> mine,
+                               std::size_t bytes);
 
   /// Count of point-to-point messages this copy has sent (diagnostics).
   std::uint64_t sent_count() const { return sent_count_; }
@@ -321,6 +321,15 @@ class SpmdContext {
   static constexpr int kAllgatherTag = -11;
 
  private:
+  /// recv_payload that insists on a `bytes`-long payload, throwing the
+  /// recv_bytes_into size-mismatch error otherwise.
+  vp::Payload recv_payload_sized(int src_index, int tag, std::size_t bytes);
+
+  /// exchange<T> on raw bytes; `theirs` sets the size the partner must send.
+  void exchange_bytes(int partner_index, int tag,
+                      std::span<const std::byte> mine,
+                      std::span<std::byte> theirs);
+
   /// Wraps a typed binary operator as the byte-level combine the coll layer
   /// uses.  The operator reference must outlive the collective call (it
   /// does: the combine is only invoked inside it).

@@ -675,11 +675,15 @@ TEST_F(ArrayManagerTest, NonOwnerWritesSurviveAShardBouncingBetweenOwners) {
                              Indexing::RowMajor, id),
             Status::Ok);
   std::atomic<bool> stop{false};
+  std::atomic<bool> bouncing{false};
   std::atomic<int> failures{0};
   constexpr int kRounds = 200;
   // The writer on processor 6 (never an owner) sweeps every element; each
   // sweep writes a fresh value, and the last sweep's values must all stick.
+  // It starts once the shard has moved, so its sweeps overlap the bouncing
+  // even when it would otherwise finish before the mover first runs.
   std::thread writer([&] {
+    while (!bouncing.load()) std::this_thread::yield();
     for (int round = 1; round <= kRounds; ++round) {
       for (int i = 0; i < 16; ++i) {
         const int idx[1] = {i};
@@ -692,10 +696,11 @@ TEST_F(ArrayManagerTest, NonOwnerWritesSurviveAShardBouncingBetweenOwners) {
   });
   // Shard 1 (elements 4..7) bounces between processors 1 and 4 meanwhile.
   int moves = 0;
-  while (!stop.load()) {
+  do {
     ASSERT_EQ(am_.migrate_shard(0, id, 1, moves % 2 == 0 ? 4 : 1), Status::Ok);
     ++moves;
-  }
+    bouncing.store(true);
+  } while (!stop.load());
   writer.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(moves, 0);

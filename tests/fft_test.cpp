@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
+#include <string>
 
 #include "core/runtime.hpp"
 #include "fft/fft.hpp"
@@ -75,39 +77,38 @@ TEST(Reference, PolyMulNaive) {
   EXPECT_EQ(poly_mul_naive({2.0}, {3.0}), (std::vector<double>{6.0}));
 }
 
+/// Runs a distributed transform on p copies: scatters `input` (already in
+/// the storage order the transform expects), runs fft_reverse or
+/// fft_natural on every copy, gathers the storage back.
+std::vector<Cx> run_transform(int p, int n, const std::vector<Cx>& input,
+                              int flag, bool reverse_order) {
+  vp::Machine machine(p);
+  const int b = n / p;
+  std::vector<double> packed = to_interleaved(input);
+  std::vector<double> out(static_cast<std::size_t>(2 * n));
+  std::vector<double> eps(static_cast<std::size_t>(2 * n));
+  compute_roots(n, eps.data());
+  run_group(machine, p, [&](spmd::SpmdContext& ctx) {
+    std::vector<double> bb(
+        packed.begin() + static_cast<std::size_t>(ctx.index()) * 2 * b,
+        packed.begin() + static_cast<std::size_t>(ctx.index() + 1) * 2 * b);
+    if (reverse_order) {
+      fft_reverse(ctx, n, flag, eps.data(), bb.data());
+    } else {
+      fft_natural(ctx, n, flag, eps.data(), bb.data());
+    }
+    std::copy(bb.begin(), bb.end(),
+              out.begin() + static_cast<std::size_t>(ctx.index()) * 2 * b);
+  });
+  return from_interleaved(out);
+}
+
 struct FftCase {
   int p;  ///< processors
   int n;  ///< transform size
 };
 
-class DistributedFft : public ::testing::TestWithParam<FftCase> {
- protected:
-  /// Runs a distributed transform: scatters `input` (already in the storage
-  /// order the transform expects), runs `which` on every copy, gathers the
-  /// storage back.
-  std::vector<Cx> run_transform(int p, int n, const std::vector<Cx>& input,
-                                int flag, bool reverse_order) {
-    vp::Machine machine(p);
-    const int b = n / p;
-    std::vector<double> packed = to_interleaved(input);
-    std::vector<double> out(static_cast<std::size_t>(2 * n));
-    std::vector<double> eps(static_cast<std::size_t>(2 * n));
-    compute_roots(n, eps.data());
-    run_group(machine, p, [&](spmd::SpmdContext& ctx) {
-      std::vector<double> bb(
-          packed.begin() + static_cast<std::size_t>(ctx.index()) * 2 * b,
-          packed.begin() + static_cast<std::size_t>(ctx.index() + 1) * 2 * b);
-      if (reverse_order) {
-        fft_reverse(ctx, n, flag, eps.data(), bb.data());
-      } else {
-        fft_natural(ctx, n, flag, eps.data(), bb.data());
-      }
-      std::copy(bb.begin(), bb.end(),
-                out.begin() + static_cast<std::size_t>(ctx.index()) * 2 * b);
-    });
-    return from_interleaved(out);
-  }
-};
+class DistributedFft : public ::testing::TestWithParam<FftCase> {};
 
 TEST_P(DistributedFft, ReverseInputInverseMatchesNaiveDft) {
   const auto [p, n] = GetParam();
@@ -158,6 +159,88 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FftCase{1, 8}, FftCase{2, 8}, FftCase{4, 8},
                       FftCase{8, 8}, FftCase{2, 32}, FftCase{4, 64},
                       FftCase{8, 128}, FftCase{4, 256}));
+
+/// The one-copy, stage-by-stage radix-2 kernel: every stage sweeps all n
+/// points and reads its twiddles from the n-point table.  The distributed
+/// transforms must reproduce it bit for bit.
+void reference_fft(int n, int flag, bool reverse_order, const double* eps,
+                   double* a) {
+  const bool conj = flag == kForward;
+  for (int s = 0; (2 << s) <= n; ++s) {
+    const int m = reverse_order ? 2 << s : n >> s;  // DIT up, DIF down
+    const int half = m / 2;
+    for (int k = 0; k < n; k += m) {
+      for (int j = 0; j < half; ++j) {
+        const int t = j * (n / m);
+        const double wr = eps[2 * t];
+        const double wi = conj ? -eps[2 * t + 1] : eps[2 * t + 1];
+        double* u = a + 2 * (k + j);
+        double* v = a + 2 * (k + j + half);
+        if (reverse_order) {
+          const double tr = wr * v[0] - wi * v[1];
+          const double ti = wr * v[1] + wi * v[0];
+          v[0] = u[0] - tr;
+          v[1] = u[1] - ti;
+          u[0] = u[0] + tr;
+          u[1] = u[1] + ti;
+        } else {
+          const double dr = u[0] - v[0];
+          const double di = u[1] - v[1];
+          u[0] = u[0] + v[0];
+          u[1] = u[1] + v[1];
+          v[0] = dr * wr - di * wi;
+          v[1] = dr * wi + di * wr;
+        }
+      }
+    }
+  }
+  if (conj) {
+    const double inv = 1.0 / static_cast<double>(n);
+    for (int i = 0; i < 2 * n; ++i) a[i] *= inv;
+  }
+}
+
+bool same_bits(const std::vector<Cx>& a, const std::vector<Cx>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Cx)) == 0;
+}
+
+TEST(DistributedFftBitwise, EveryGroupSizeMatchesTheStageByStageKernel) {
+  // n = 8192 on 1..8 copies puts b = 8192..1024 points on a copy, so the
+  // cache-blocked stages and the whole-block sweeps both run, and so do
+  // the exchange stages.
+  const int n = 8192;
+  std::vector<double> eps(static_cast<std::size_t>(2 * n));
+  compute_roots(n, eps.data());
+  const std::vector<Cx> x = random_signal(n, 29);
+  const std::vector<Cx> scattered = bit_reverse_permute(x);
+  const std::vector<Cx> inverse = naive_dft(x, +1);
+  std::vector<Cx> forward = naive_dft(x, -1);
+  for (auto& v : forward) v /= static_cast<double>(n);
+
+  for (const bool reverse_order : {true, false}) {
+    for (const int flag : {kInverse, kForward}) {
+      SCOPED_TRACE(std::string(reverse_order ? "fft_reverse" : "fft_natural") +
+                   (flag == kForward ? " forward" : " inverse"));
+      // fft_reverse takes bit-reversed storage to natural; fft_natural
+      // natural to bit-reversed.
+      const std::vector<Cx>& input = reverse_order ? scattered : x;
+      std::vector<double> want = to_interleaved(input);
+      reference_fft(n, flag, reverse_order, eps.data(), want.data());
+      const std::vector<Cx> one =
+          run_transform(1, n, input, flag, reverse_order);
+      EXPECT_TRUE(same_bits(one, from_interleaved(want)));
+      for (const int p : {2, 4, 8}) {
+        EXPECT_TRUE(same_bits(run_transform(p, n, input, flag, reverse_order),
+                              one))
+            << "p = " << p;
+      }
+      const std::vector<Cx> natural =
+          reverse_order ? one : bit_reverse_permute(one);
+      expect_near(natural, flag == kForward ? forward : inverse, 1e-8 * n);
+    }
+  }
+}
 
 TEST(DistributedFftPrograms, RegisteredProgramsMatchDirectCalls) {
   // Drive "compute_roots" and "fft_reverse" through distributed calls with

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "pcn/process.hpp"
 #include "spmd/context.hpp"
@@ -194,6 +197,47 @@ TEST(SpmdContext, ExchangeSwapsBuffers) {
     ctx.exchange<double>(partner, 5, mine, theirs);
     EXPECT_DOUBLE_EQ(theirs[0], partner);
     EXPECT_DOUBLE_EQ(theirs[1], 7.0);
+  });
+}
+
+TEST(SpmdContext, ExchangePayloadHandsBackThePartnersBuffer) {
+  vp::Machine machine(4);
+  run_group(machine, 4, [](SpmdContext& ctx) {
+    const int partner = ctx.index() ^ 1;
+    const std::vector<double> mine{static_cast<double>(ctx.index()), 7.0};
+    const auto bytes = std::as_bytes(std::span<const double>(mine));
+    const vp::Payload got =
+        ctx.exchange_payload(partner, 5, bytes, bytes.size());
+    ASSERT_EQ(got.size(), bytes.size());
+    double v[2];
+    std::memcpy(v, got.data(), sizeof v);
+    EXPECT_DOUBLE_EQ(v[0], partner);
+    EXPECT_DOUBLE_EQ(v[1], 7.0);
+  });
+}
+
+TEST(SpmdContext, ExchangePayloadRejectsAPartnerBufferOfAnotherSize) {
+  // Copy 0 sends first, then receives 8 bytes where it expects 16.  Copy 1
+  // plays its side by hand, so nobody is left waiting after the throw.
+  vp::Machine machine(2);
+  run_group(machine, 2, [](SpmdContext& ctx) {
+    const std::vector<double> mine(2, 1.0);
+    const auto bytes = std::as_bytes(std::span<const double>(mine));
+    if (ctx.index() == 0) {
+      try {
+        (void)ctx.exchange_payload(1, 5, bytes, bytes.size());
+        ADD_FAILURE() << "an 8-byte block where 16 are expected must throw";
+      } catch (const std::runtime_error& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("size mismatch on tag 5"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("8 bytes into a 16-byte"), std::string::npos)
+            << msg;
+      }
+    } else {
+      ctx.send_bytes(0, 5, bytes.first(8));
+      EXPECT_EQ(ctx.recv_payload(0, 5).size(), bytes.size());
+    }
   });
 }
 
