@@ -6,12 +6,86 @@
 #include <cstring>
 #include <thread>
 
+#include <linux/membarrier.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "util/env.hpp"
 
 namespace tdp::dist {
+
+/// What a route slot points at: one shard's storage and the affine map from
+/// a global index in the shard to its storage offset (the cell origin and
+/// the borders folded into `bias`).  Immutable once published; a migration
+/// or a border change publishes a fresh one and retires the old.
+struct ShardRoute {
+  std::shared_ptr<LocalSection> storage;
+  std::vector<long long> stride;  ///< per dimension, borders included
+  long long bias = 0;
+
+  long long offset(std::span<const int> indices) const {
+    long long off = bias;
+    for (std::size_t d = 0; d < indices.size(); ++d) {
+      off += indices[d] * stride[d];
+    }
+    return off;
+  }
+};
+
+/// One shard's entry in a route block.  Its sequence is odd while what the
+/// slot points at changes; every change happens under the owner's node
+/// lock, and a migration or border change also bumps it, so the sequence
+/// doubles as the slot's route epoch.  A freed array's slots stay odd.
+struct RouteSlot {
+  std::atomic<std::uint64_t> seq{0};
+  std::atomic<int> owner{-1};
+  std::atomic<ShardRoute*> route{nullptr};
+};
+
+/// The flat, lock-free route to an array's shards (DESIGN §12 "Routing"):
+/// immutable geometry plus one slot per shard.  create_array publishes it
+/// in the manager's directory; free_array unpublishes it and deletes it
+/// once in-flight readers have drained.
+struct RouteBlock {
+  RouteBlock() = default;
+  RouteBlock(const RouteBlock&) = delete;
+  RouteBlock& operator=(const RouteBlock&) = delete;
+  ~RouteBlock();
+
+  /// The shard holding `indices`, or -1 when they are out of range.
+  long long shard_of(std::span<const int> indices) const {
+    if (indices.size() != dims.size()) return -1;
+    long long shard = 0;
+    for (std::size_t d = 0; d < indices.size(); ++d) {
+      if (indices[d] < 0 || indices[d] >= dims[d]) return -1;
+      const std::uint64_t cell =
+          static_cast<std::uint64_t>(indices[d]) * div_mul[d] >> div_shift[d];
+      shard += static_cast<long long>(cell) * grid_stride[d];
+    }
+    return shard;
+  }
+
+  ArrayId id;
+  ElemType type = ElemType::Float64;
+  Indexing indexing = Indexing::RowMajor;
+  Indexing grid_indexing = Indexing::RowMajor;
+  std::vector<int> dims;
+  std::vector<int> local_dims;
+  std::vector<int> grid_dims;
+  std::vector<long long> grid_stride;  ///< shard rank strides of the grid
+  /// Per dimension, index / local_dims[d] as (index * mul) >> shift: exact
+  /// for every index below 2^31, and a multiply instead of a division.
+  std::vector<std::uint64_t> div_mul;
+  std::vector<unsigned> div_shift;
+  long long cells = 0;
+  std::shared_ptr<ShardStats> stats;
+  /// Per processor: true while it holds a record (replica) of the array.
+  std::unique_ptr<std::atomic<bool>[]> replica;
+  std::unique_ptr<RouteSlot[]> slots;
+};
 
 namespace {
 
@@ -117,21 +191,294 @@ ArrayRecord replica_of(const ArrayRecord& r) {
   out.grid_indexing = r.grid_indexing;
   out.shards = r.shards;
   out.stats = r.stats;
+  out.route = r.route;
   return out;
 }
 
 /// Charges an owner-side access of `bytes` to the shard's traffic counter
 /// and, when observability is on, to the request's span and am.bytes_moved.
-void charge(ArrayRecord& rec, long long shard, std::uint64_t bytes,
+void charge(ShardStats& stats, long long shard, std::uint64_t bytes,
             obs::Span& span) {
-  rec.stats->add(static_cast<std::size_t>(shard), bytes);
+  stats.add(static_cast<std::size_t>(shard), bytes);
   if (obs::enabled()) {
     span.set_arg1(bytes);
     am_bytes_moved().add(bytes);
   }
 }
 
+/// Opens and closes one change of what a route slot points at; the caller
+/// holds the node lock of the slot's owner.  Readers that see the odd
+/// sequence, or a different one when they re-check, fall back.
+void seq_open(RouteSlot& slot) {
+  slot.seq.store(slot.seq.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_relaxed);
+}
+void seq_close(RouteSlot& slot) {
+  slot.seq.store(slot.seq.load(std::memory_order_relaxed) + 1,
+                 std::memory_order_release);
+}
+
+/// Waits under `lock` until `done()`, or until `deadline` unless it is
+/// time_point::max(); false on timeout.  A task on a steal worker parks,
+/// listed in `waiters` so that its waker can ready it under the same mutex;
+/// any other caller blocks on `cv`.
+template <class Done>
+bool wait_for(std::unique_lock<std::mutex>& lock, std::condition_variable& cv,
+              std::vector<sched::TaskRef>& waiters,
+              std::chrono::steady_clock::time_point deadline, Done done) {
+  const bool timed = deadline != std::chrono::steady_clock::time_point::max();
+  if (!sched::on_worker_fiber()) {
+    if (!timed) {
+      cv.wait(lock, done);
+      return true;
+    }
+    return cv.wait_until(lock, deadline, done);
+  }
+  const sched::TaskRef self = sched::current_task();
+  bool in_time = true;
+  while (!done()) {
+    if (timed && std::chrono::steady_clock::now() >= deadline) {
+      in_time = false;
+      break;
+    }
+    if (std::find(waiters.begin(), waiters.end(), self) == waiters.end()) {
+      waiters.push_back(self);
+    }
+    if (timed) {
+      sched::park_until(lock, deadline);
+    } else {
+      sched::park(lock);
+    }
+  }
+  waiters.erase(std::remove(waiters.begin(), waiters.end(), self),
+                waiters.end());
+  return in_time;
+}
+
+/// Readies every task parked by wait_for; the caller holds the mutex they
+/// parked with.
+void ready_all(std::vector<sched::TaskRef>& waiters) {
+  for (sched::TaskRef t : waiters) sched::ready(t);
+  waiters.clear();
+}
+
+/// Registers the process for expedited membarrier once; false where the
+/// kernel lacks it, which turns the fast path off.
+bool barrier_available() {
+  static const bool ok =
+      syscall(__NR_membarrier, MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED, 0,
+              0) == 0;
+  return ok;
+}
+
+/// A full memory barrier on every running thread of the process.  A forked
+/// child inherits the "registered" answer but not the registration, so a
+/// refused barrier registers again first.
+void process_barrier() {
+  if (!barrier_available()) return;
+  if (syscall(__NR_membarrier, MEMBARRIER_CMD_PRIVATE_EXPEDITED, 0, 0) != 0) {
+    syscall(__NR_membarrier, MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED, 0, 0);
+    syscall(__NR_membarrier, MEMBARRIER_CMD_PRIVATE_EXPEDITED, 0, 0);
+  }
+}
+
+/// One thread's fast-path read record: its sequence is odd while the
+/// thread is inside a read section (read_fast, write_fast).  Only the
+/// owning thread stores to it, with plain stores; drain_readers pairs them
+/// with a process-wide barrier instead of an atomic read-modify-write per
+/// request, which costs about as much as the rest of a read.
+struct alignas(64) ReaderRecord {
+  std::atomic<std::uint64_t> seq{0};
+};
+
+/// Every live thread's read record.  Leaked, so that threads exiting after
+/// static destruction can still deregister.
+struct ReaderRegistry {
+  std::mutex mutex;
+  std::vector<ReaderRecord*> records;
+
+  static ReaderRegistry& instance() {
+    static ReaderRegistry* reg = new ReaderRegistry;
+    return *reg;
+  }
+};
+
+thread_local ReaderRecord* t_reader = nullptr;
+thread_local bool t_reader_gone = false;
+
+/// The thread's record, listed in the registry from the thread's first
+/// request until the thread exits.
+struct ThreadReader {
+  ThreadReader() {
+    ReaderRegistry& reg = ReaderRegistry::instance();
+    std::lock_guard<std::mutex> lock(reg.mutex);
+    reg.records.push_back(&record);
+    t_reader = &record;
+  }
+  ~ThreadReader() {
+    ReaderRegistry& reg = ReaderRegistry::instance();
+    std::lock_guard<std::mutex> lock(reg.mutex);
+    reg.records.erase(
+        std::find(reg.records.begin(), reg.records.end(), &record));
+    t_reader = nullptr;
+    t_reader_gone = true;
+  }
+  ThreadReader(const ThreadReader&) = delete;
+  ThreadReader& operator=(const ThreadReader&) = delete;
+
+  ReaderRecord record;
+};
+
+/// The thread's record on its first request; nullptr while the thread
+/// exits, or for good where the process barrier is missing (the fast path
+/// is then off).
+[[gnu::noinline]] ReaderRecord* register_reader() {
+  if (t_reader_gone || !barrier_available()) return nullptr;
+  thread_local ThreadReader reader;
+  return &reader.record;
+}
+
+/// A fast-path read section: while it lives, drain_readers waits before
+/// anything this thread may have loaded from the route directory is freed.
+/// `entered()` is false when the fast path is off (no barrier, thread
+/// exiting); the request then takes the locked path.
+class ReadSection {
+ public:
+  ReadSection() : rec_(t_reader != nullptr ? t_reader : register_reader()) {
+    if (rec_ == nullptr) return;
+    seq_ = rec_->seq.load(std::memory_order_relaxed) + 1;
+    rec_->seq.store(seq_, std::memory_order_relaxed);
+    // Orders the store before the loads that follow for the compiler; the
+    // process barrier in drain_readers orders it for the hardware.
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+  }
+  ~ReadSection() {
+    if (rec_ != nullptr) rec_->seq.store(seq_ + 1, std::memory_order_release);
+  }
+  ReadSection(const ReadSection&) = delete;
+  ReadSection& operator=(const ReadSection&) = delete;
+
+  bool entered() const { return rec_ != nullptr; }
+
+ private:
+  ReaderRecord* rec_;
+  std::uint64_t seq_ = 0;
+};
+
+/// Row- or column-major strides of a shape.
+std::vector<long long> strides_of(std::span<const int> extent,
+                                  Indexing ordering) {
+  std::vector<long long> out(extent.size());
+  long long s = 1;
+  for (std::size_t i = 0; i < extent.size(); ++i) {
+    const std::size_t d =
+        ordering == Indexing::RowMajor ? extent.size() - 1 - i : i;
+    out[d] = s;
+    s *= extent[d];
+  }
+  return out;
+}
+
+/// The route to shard `shard` of `block` held in `storage`, whose interior
+/// is `interior` and borders `borders`: ShardRoute::offset agrees with
+/// element_offset for every global index in the shard.
+std::unique_ptr<ShardRoute> make_route(const RouteBlock& block,
+                                       long long shard,
+                                       std::shared_ptr<LocalSection> storage,
+                                       const std::vector<int>& interior,
+                                       const std::vector<int>& borders) {
+  auto r = std::make_unique<ShardRoute>();
+  r->storage = std::move(storage);
+  r->stride = strides_of(dims_plus_borders(interior, borders), block.indexing);
+  const std::vector<int> pos =
+      delinearize(shard, block.grid_dims, block.grid_indexing);
+  for (std::size_t d = 0; d < pos.size(); ++d) {
+    r->bias += (borders[2 * d] -
+                static_cast<long long>(pos[d]) * block.local_dims[d]) *
+               r->stride[d];
+  }
+  return r;
+}
+
+/// An unpublished route block for `meta` with empty slots; create_local
+/// fills them.
+std::unique_ptr<RouteBlock> make_block(const ArrayRecord& meta,
+                                       std::size_t nprocs) {
+  auto block = std::make_unique<RouteBlock>();
+  block->id = meta.id;
+  block->type = meta.type;
+  block->indexing = meta.indexing;
+  block->grid_indexing = meta.grid_indexing;
+  block->dims = meta.dims;
+  block->local_dims = meta.local_dims;
+  block->grid_dims = meta.grid_dims;
+  block->grid_stride = strides_of(meta.grid_dims, meta.grid_indexing);
+  for (int l : meta.local_dims) {
+    // Granlund-Montgomery: with 2^(s-1) < l <= 2^s and m =
+    // floor(2^(31+s) / l) + 1, (n * m) >> (31 + s) == n / l for all
+    // n < 2^31, and n * m < 2^63.
+    unsigned shift = 0;
+    while ((1ull << shift) < static_cast<std::uint64_t>(l)) ++shift;
+    block->div_shift.push_back(31 + shift);
+    block->div_mul.push_back(
+        (1ull << (31 + shift)) / static_cast<std::uint64_t>(l) + 1);
+  }
+  block->cells = meta.shards.cells;
+  block->stats = meta.stats;
+  block->replica = std::make_unique<std::atomic<bool>[]>(nprocs);
+  block->slots =
+      std::make_unique<RouteSlot[]>(static_cast<std::size_t>(block->cells));
+  return block;
+}
+
+/// The directory's probe start for `id`.
+std::size_t route_hash(ArrayId id) {
+  std::uint64_t h = id.seq * 0x9E3779B97F4A7C15ull +
+                    static_cast<std::uint64_t>(id.creator);
+  h ^= h >> 29;
+  return static_cast<std::size_t>(h);
+}
+
+/// The directory's tombstone: a removed entry.  Its id never matches, so a
+/// lookup probes past it.
+RouteBlock* gone() {
+  static RouteBlock tombstone;
+  return &tombstone;
+}
+
 }  // namespace
+
+RouteBlock::~RouteBlock() {
+  for (long long s = 0; s < cells; ++s) {
+    delete slots[static_cast<std::size_t>(s)].route.load(
+        std::memory_order_relaxed);
+  }
+}
+
+struct ArrayManager::RouteDir {
+  explicit RouteDir(std::size_t size)
+      : mask(size - 1),
+        slots(std::make_unique<std::atomic<RouteBlock*>[]>(size)) {}
+
+  /// Stores `b` at the first free or removed slot of its probe sequence.
+  void place(RouteBlock* b) {
+    for (std::size_t i = route_hash(b->id);; ++i) {
+      std::atomic<RouteBlock*>& slot = slots[i & mask];
+      RouteBlock* cur = slot.load(std::memory_order_relaxed);
+      if (cur == nullptr || cur == gone()) {
+        if (cur == nullptr) ++used;
+        ++live;
+        slot.store(b, std::memory_order_seq_cst);
+        return;
+      }
+    }
+  }
+
+  std::size_t mask;
+  std::size_t used = 0;  ///< live and removed entries (under dir_mutex_)
+  std::size_t live = 0;
+  std::unique_ptr<std::atomic<RouteBlock*>[]> slots;
+};
 
 ShardMap ShardMap::initial(long long cells, const std::vector<int>& pool) {
   ShardMap m;
@@ -148,7 +495,8 @@ ShardMap ShardMap::initial(long long cells, const std::vector<int>& pool) {
 ArrayManager::ArrayManager(vp::Machine& machine, BorderLookup border_lookup)
     : machine_(machine),
       border_lookup_(std::move(border_lookup)),
-      nodes_(static_cast<std::size_t>(machine.nprocs())) {
+      nodes_(static_cast<std::size_t>(machine.nprocs())),
+      routes_(new RouteDir(16)) {
   g_dist_probe_owner.store(this, std::memory_order_release);
   obs::Telemetry::instance().set_dist_probe([this] {
     obs::Telemetry::DistSample d;
@@ -173,6 +521,84 @@ ArrayManager::~ArrayManager() {
   if (g_dist_probe_owner.compare_exchange_strong(expected, nullptr,
                                                  std::memory_order_acq_rel)) {
     obs::Telemetry::instance().set_dist_probe(nullptr);
+  }
+  // Arrays never freed still own their route blocks.
+  RouteDir* dir = routes_.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i <= dir->mask; ++i) {
+    RouteBlock* b = dir->slots[i].load(std::memory_order_relaxed);
+    if (b != gone()) delete b;
+  }
+  delete dir;
+}
+
+RouteBlock* ArrayManager::find_route(int on_proc, ArrayId id) const {
+  const RouteDir* dir = routes_.load(std::memory_order_seq_cst);
+  for (std::size_t i = route_hash(id);; ++i) {
+    RouteBlock* b = dir->slots[i & dir->mask].load(std::memory_order_seq_cst);
+    if (b == nullptr) return nullptr;
+    if (b->id == id) {
+      return b->replica[static_cast<std::size_t>(on_proc)].load(
+                 std::memory_order_relaxed)
+                 ? b
+                 : nullptr;
+    }
+  }
+}
+
+void ArrayManager::publish_route(std::unique_ptr<RouteBlock> block) {
+  std::unique_ptr<RouteDir> old;
+  {
+    std::lock_guard<std::mutex> lock(dir_mutex_);
+    RouteDir* dir = routes_.load(std::memory_order_relaxed);
+    // Keep at least half the table empty, so every probe ends at an empty
+    // slot within a few steps; on growth, drop the removed entries too.
+    if ((dir->used + 1) * 2 > dir->mask + 1) {
+      std::size_t size = 16;
+      while (size < 4 * (dir->live + 1)) size <<= 1;
+      auto fresh = std::make_unique<RouteDir>(size);
+      for (std::size_t i = 0; i <= dir->mask; ++i) {
+        RouteBlock* b = dir->slots[i].load(std::memory_order_relaxed);
+        if (b != nullptr && b != gone()) fresh->place(b);
+      }
+      fresh->place(block.release());
+      routes_.store(fresh.release(), std::memory_order_seq_cst);
+      old.reset(dir);
+    } else {
+      dir->place(block.release());
+    }
+  }
+  if (old) drain_readers();  // then `old` is deleted
+}
+
+std::unique_ptr<RouteBlock> ArrayManager::unpublish_route(ArrayId id) {
+  std::lock_guard<std::mutex> lock(dir_mutex_);
+  RouteDir* dir = routes_.load(std::memory_order_relaxed);
+  for (std::size_t i = route_hash(id);; ++i) {
+    std::atomic<RouteBlock*>& slot = dir->slots[i & dir->mask];
+    RouteBlock* b = slot.load(std::memory_order_relaxed);
+    if (b == nullptr) return nullptr;
+    if (b->id == id) {
+      slot.store(gone(), std::memory_order_seq_cst);
+      --dir->live;
+      return std::unique_ptr<RouteBlock>(b);
+    }
+  }
+}
+
+void ArrayManager::drain_readers() {
+  // After the barrier, every thread that entered a read section before it
+  // shows an odd sequence here, and every later entry sees what the caller
+  // unpublished; only the former are waited out, each until its sequence
+  // moves on.
+  process_barrier();
+  ReaderRegistry& reg = ReaderRegistry::instance();
+  std::lock_guard<std::mutex> lock(reg.mutex);
+  for (const ReaderRecord* r : reg.records) {
+    const std::uint64_t seen = r->seq.load(std::memory_order_acquire);
+    if ((seen & 1) == 0) continue;
+    while (r->seq.load(std::memory_order_acquire) == seen) {
+      std::this_thread::yield();
+    }
   }
 }
 
@@ -316,6 +742,9 @@ Status ArrayManager::create_array(int on_proc, ElemType type,
         meta.id = ArrayId{on_proc, creator.next_seq++};
       }
 
+      std::unique_ptr<RouteBlock> block = make_block(meta, nodes_.size());
+      meta.route = block.get();
+
       std::map<int, std::vector<long long>> owned;
       for (long long s = 0; s < cells; ++s) {
         owned[meta.shards.owner_of(s)].push_back(s);
@@ -324,6 +753,7 @@ Status ArrayManager::create_array(int on_proc, ElemType type,
       if (owned.find(on_proc) == owned.end()) {
         create_local(on_proc, meta, {});
       }
+      publish_route(std::move(block));
 
       if (obs::enabled()) {
         std::uint64_t bytes = 0;
@@ -360,7 +790,18 @@ ShardSection ArrayManager::make_section(const ArrayRecord& meta,
 void ArrayManager::create_local(int p, const ArrayRecord& meta,
                                 const std::vector<long long>& owned) {
   ArrayRecord record = meta;
-  for (long long s : owned) record.sections[s] = make_section(meta, s);
+  RouteBlock& block = *meta.route;
+  for (long long s : owned) {
+    const ShardSection& sec = record.sections[s] = make_section(meta, s);
+    RouteSlot& slot = block.slots[static_cast<std::size_t>(s)];
+    slot.route.store(
+        make_route(block, s, sec.storage, sec.interior, meta.borders)
+            .release(),
+        std::memory_order_relaxed);
+    slot.owner.store(p, std::memory_order_relaxed);
+  }
+  block.replica[static_cast<std::size_t>(p)].store(true,
+                                                   std::memory_order_relaxed);
   Node& n = node(p);
   std::lock_guard<std::mutex> lock(n.mutex);
   n.records[record.id] = std::move(record);
@@ -381,17 +822,31 @@ Status ArrayManager::free_array(int on_proc, ArrayId id) {
                  static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
                  &am_service_hist());
   const Status st = [&]() -> Status {
+      // No migration may re-create a replica behind the sweep below.
+      std::lock_guard<std::mutex> mig(migrate_mutex_);
       if (Status st = with_record(on_proc, id,
                                   [](ArrayRecord&) { return Status::Ok; });
           !ok(st)) {
         return st;
       }
-      // Migration may have spread replicas anywhere; sweep every node.
+      // Unpublish first, then close every slot for good under its owner's
+      // lock: fast requests that still hold the block fall back and find
+      // no record.  Migration may have spread replicas anywhere; sweep
+      // every node.
+      const std::unique_ptr<RouteBlock> block = unpublish_route(id);
       for (int p = 0; p < machine_.nprocs(); ++p) {
         Node& n = node(p);
         std::lock_guard<std::mutex> lock(n.mutex);
         n.records.erase(id);
+        if (!block) continue;
+        block->replica[static_cast<std::size_t>(p)].store(
+            false, std::memory_order_relaxed);
+        for (long long s = 0; s < block->cells; ++s) {
+          RouteSlot& slot = block->slots[static_cast<std::size_t>(s)];
+          if (slot.owner.load(std::memory_order_relaxed) == p) seq_open(slot);
+        }
       }
+      drain_readers();  // then the block, its routes and storage go
       return Status::Ok;
   }();
   return traced("free_array", on_proc, id, st);
@@ -405,14 +860,16 @@ bool ArrayManager::wait_route_change(
     std::uint64_t seen_gen,
     std::chrono::steady_clock::time_point deadline) const {
   std::unique_lock<std::mutex> lock(route_mutex_);
-  return route_cv_.wait_until(lock, deadline, [&] {
+  return wait_for(lock, route_cv_, route_waiters_, deadline, [&] {
     return route_gen_.load(std::memory_order_acquire) != seen_gen;
   });
 }
 
+// Out of line, so that read_element and write_element stay small on the
+// lock-free path (about 3 ns a request on fig3_9's reads).
 template <class Locate, class Fn>
-Status ArrayManager::with_shard(int on_proc, ArrayId id, Locate locate,
-                                Fn fn) {
+[[gnu::noinline]] Status ArrayManager::with_shard(int on_proc, ArrayId id,
+                                                  Locate locate, Fn fn) {
   // Route on the requester's replica; when the requester owns the shard,
   // the access runs under this one lock.
   long long shard = -1;
@@ -472,24 +929,95 @@ Status ArrayManager::with_shard(int on_proc, ArrayId id, Locate locate,
   }
 }
 
+bool ArrayManager::read_fast(int on_proc, ArrayId id,
+                             std::span<const int> indices, Scalar& out,
+                             obs::Span& span, Status& st) {
+  if (!machine_.valid_proc(on_proc)) return false;
+  const ReadSection section;
+  if (!section.entered()) return false;
+  const RouteBlock* b = find_route(on_proc, id);
+  if (b == nullptr) return false;
+  const long long shard = b->shard_of(indices);
+  if (shard < 0) {
+    st = Status::Invalid;
+    return true;
+  }
+  const RouteSlot& slot = b->slots[static_cast<std::size_t>(shard)];
+  const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
+  if ((seq & 1) != 0) return false;
+  const ShardRoute& r = *slot.route.load(std::memory_order_seq_cst);
+  const long long off = r.offset(indices);
+  const Scalar v = b->type == ElemType::Float64
+                       ? Scalar{r.storage->load_f64(off)}
+                       : Scalar{r.storage->load_i32(off)};
+  if (slot.seq.load(std::memory_order_acquire) != seq) return false;
+  out = v;
+  charge(*b->stats, shard, elem_size(b->type), span);
+  st = Status::Ok;
+  return true;
+}
+
+bool ArrayManager::write_fast(int on_proc, ArrayId id,
+                              std::span<const int> indices,
+                              const Scalar& value, obs::Span& span,
+                              Status& st) {
+  if (!machine_.valid_proc(on_proc)) return false;
+  const ReadSection section;
+  if (!section.entered()) return false;
+  RouteBlock* b = find_route(on_proc, id);
+  if (b == nullptr) return false;
+  const long long shard = b->shard_of(indices);
+  if (shard < 0) {
+    st = Status::Invalid;
+    return true;
+  }
+  RouteSlot& slot = b->slots[static_cast<std::size_t>(shard)];
+  const int owner = slot.owner.load(std::memory_order_relaxed);
+  if (owner < 0) return false;
+  std::lock_guard<std::mutex> lock(node(owner).mutex);
+  // Every change of this slot happens under its owner's lock, except that
+  // a migration closes its change under the destination's: an odd
+  // sequence, or an owner other than the one locked, means the route moved.
+  if ((slot.seq.load(std::memory_order_acquire) & 1) != 0 ||
+      slot.owner.load(std::memory_order_relaxed) != owner) {
+    return false;
+  }
+  const ShardRoute& r = *slot.route.load(std::memory_order_relaxed);
+  const long long off = r.offset(indices);
+  seq_open(slot);
+  if (b->type == ElemType::Float64) {
+    r.storage->store_f64(off, scalar_to_double(value));
+  } else {
+    r.storage->store_i32(off, scalar_to_int(value));
+  }
+  seq_close(slot);
+  charge(*b->stats, shard, elem_size(b->type), span);
+  st = Status::Ok;
+  return true;
+}
+
 Status ArrayManager::read_element(int on_proc, ArrayId id,
                                   std::span<const int> indices, Scalar& out) {
   obs::Span span(obs::Op::AmRead, 0,
                  static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
                  &am_service_hist());
-  const Status st = with_shard(
-      on_proc, id, element_shard(indices),
-      [&](ArrayRecord& rec, ShardSection& sec, long long shard) {
-        const long long off = element_offset(
-            indices, rec.local_dims, sec.interior, rec.borders, rec.indexing);
-        if (rec.type == ElemType::Float64) {
-          out = sec.storage->read_f64(off);
-        } else {
-          out = sec.storage->read_i32(off);
-        }
-        charge(rec, shard, elem_size(rec.type), span);
-        return Status::Ok;
-      });
+  Status st = Status::Ok;
+  if (!read_fast(on_proc, id, indices, out, span, st)) {
+    st = with_shard(
+        on_proc, id, element_shard(indices),
+        [&](ArrayRecord& rec, ShardSection& sec, long long shard) {
+          const long long off =
+              element_offset(indices, rec.local_dims, sec.interior,
+                             rec.borders, rec.indexing);
+          if (rec.type == ElemType::Float64) {
+            out = sec.storage->read_f64(off);
+          } else {
+            out = sec.storage->read_i32(off);
+          }
+          charge(*rec.stats, shard, elem_size(rec.type), span);
+          return Status::Ok;
+        });
+  }
   return traced("read_element", on_proc, id, st);
 }
 
@@ -499,19 +1027,26 @@ Status ArrayManager::write_element(int on_proc, ArrayId id,
   obs::Span span(obs::Op::AmWrite, 0,
                  static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
                  &am_service_hist());
-  const Status st = with_shard(
-      on_proc, id, element_shard(indices),
-      [&](ArrayRecord& rec, ShardSection& sec, long long shard) {
-        const long long off = element_offset(
-            indices, rec.local_dims, sec.interior, rec.borders, rec.indexing);
-        if (rec.type == ElemType::Float64) {
-          sec.storage->write_f64(off, scalar_to_double(value));
-        } else {
-          sec.storage->write_i32(off, scalar_to_int(value));
-        }
-        charge(rec, shard, elem_size(rec.type), span);
-        return Status::Ok;
-      });
+  Status st = Status::Ok;
+  if (!write_fast(on_proc, id, indices, value, span, st)) {
+    st = with_shard(
+        on_proc, id, element_shard(indices),
+        [&](ArrayRecord& rec, ShardSection& sec, long long shard) {
+          const long long off =
+              element_offset(indices, rec.local_dims, sec.interior,
+                             rec.borders, rec.indexing);
+          RouteSlot& slot = rec.route->slots[static_cast<std::size_t>(shard)];
+          seq_open(slot);
+          if (rec.type == ElemType::Float64) {
+            sec.storage->store_f64(off, scalar_to_double(value));
+          } else {
+            sec.storage->store_i32(off, scalar_to_int(value));
+          }
+          seq_close(slot);
+          charge(*rec.stats, shard, elem_size(rec.type), span);
+          return Status::Ok;
+        });
+  }
   return traced("write_element", on_proc, id, st);
 }
 
@@ -602,16 +1137,27 @@ Status ArrayManager::write_shard_locked(ArrayRecord& rec, ShardSection& sec,
   if (data.size() != static_cast<std::size_t>(count) * esize) {
     return Status::Invalid;
   }
-  std::byte* base = static_cast<std::byte*>(sec.storage->data());
+  // Element by element through atomic stores: lock-free element reads may
+  // race this overwrite (and discard what they read, as the slot's
+  // sequence moves around it).
+  const auto store = [&](long long dst, long long lin) {
+    const std::byte* src = data.data() + static_cast<std::size_t>(lin) * esize;
+    if (rec.type == ElemType::Float64) {
+      double v;
+      std::memcpy(&v, src, sizeof v);
+      sec.storage->store_f64(dst, v);
+    } else {
+      int v;
+      std::memcpy(&v, src, sizeof v);
+      sec.storage->store_i32(dst, v);
+    }
+  };
   if (contiguous_interior(rec.borders)) {
-    std::memcpy(base, data.data(), data.size());
+    for (long long lin = 0; lin < count; ++lin) store(lin, lin);
   } else {
     for (long long lin = 0; lin < count; ++lin) {
       std::vector<int> idx = delinearize(lin, sec.interior, rec.indexing);
-      const long long dst =
-          local_offset(idx, sec.interior, rec.borders, rec.indexing);
-      std::memcpy(base + static_cast<std::size_t>(dst) * esize,
-                  data.data() + static_cast<std::size_t>(lin) * esize, esize);
+      store(local_offset(idx, sec.interior, rec.borders, rec.indexing), lin);
     }
   }
   return Status::Ok;
@@ -627,7 +1173,7 @@ Status ArrayManager::read_shard(int on_proc, ArrayId id, long long shard,
       on_proc, id, shard_in_range(shard),
       [&](ArrayRecord& rec, ShardSection& sec, long long) {
         Status st = read_shard_locked(rec, sec, out);
-        if (ok(st)) charge(rec, shard, out.size(), span);
+        if (ok(st)) charge(*rec.stats, shard, out.size(), span);
         return st;
       });
   return traced("read_shard", on_proc, id, st);
@@ -641,8 +1187,11 @@ Status ArrayManager::write_shard(int on_proc, ArrayId id, long long shard,
   const Status st = with_shard(
       on_proc, id, shard_in_range(shard),
       [&](ArrayRecord& rec, ShardSection& sec, long long) {
+        RouteSlot& slot = rec.route->slots[static_cast<std::size_t>(shard)];
+        seq_open(slot);
         Status st = write_shard_locked(rec, sec, data);
-        if (ok(st)) charge(rec, shard, data.size(), span);
+        seq_close(slot);
+        if (ok(st)) charge(*rec.stats, shard, data.size(), span);
         return st;
       });
   return traced("write_shard", on_proc, id, st);
@@ -749,15 +1298,24 @@ Status ArrayManager::verify_array(int on_proc, ArrayId id, int n_dims,
       if (want == have) return Status::Ok;
 
       // copy_local updates every replica's metadata and reallocates any
-      // sections it holds, wherever migration has put them.
-      for (int p = 0; p < machine_.nprocs(); ++p) copy_local(p, id, want);
+      // sections it holds, wherever migration has put them; no migration
+      // may ship a section with the old borders meanwhile.
+      std::vector<std::unique_ptr<ShardRoute>> retired;
+      {
+        std::lock_guard<std::mutex> mig(migrate_mutex_);
+        for (int p = 0; p < machine_.nprocs(); ++p) {
+          copy_local(p, id, want, retired);
+        }
+      }
+      drain_readers();  // then the old routes and storage go
       return Status::Ok;
   }();
   return traced("verify_array", on_proc, id, st);
 }
 
-void ArrayManager::copy_local(int p, ArrayId id,
-                              const std::vector<int>& new_borders) {
+void ArrayManager::copy_local(
+    int p, ArrayId id, const std::vector<int>& new_borders,
+    std::vector<std::unique_ptr<ShardRoute>>& retired) {
   Node& n = node(p);
   std::lock_guard<std::mutex> lock(n.mutex);
   auto it = n.records.find(id);
@@ -780,6 +1338,13 @@ void ArrayManager::copy_local(int p, ArrayId id,
         fresh->write_i32(dst, sec.storage->read_i32(src));
       }
     }
+    RouteSlot& slot = r.route->slots[static_cast<std::size_t>(shard)];
+    seq_open(slot);
+    retired.emplace_back(slot.route.exchange(
+        make_route(*r.route, shard, fresh, sec.interior, new_borders)
+            .release(),
+        std::memory_order_seq_cst));
+    seq_close(slot);
     sec.storage = std::move(fresh);
     sec.dims_plus = std::move(new_plus);
   }
@@ -805,15 +1370,18 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
       {
         std::unique_lock<std::mutex> lock(pin_mutex_);
         ++migrating_[id];
-        const bool drained = pin_cv_.wait_for(lock, kPinDrainTimeout, [&] {
-          auto it = pins_.find(id);
-          return it == pins_.end() || it->second == 0;
-        });
+        const bool drained = wait_for(
+            lock, pin_cv_, pin_waiters_,
+            std::chrono::steady_clock::now() + kPinDrainTimeout, [&] {
+              auto it = pins_.find(id);
+              return it == pins_.end() || it->second == 0;
+            });
         if (!drained) {
           auto it = migrating_.find(id);
           if (it != migrating_.end() && --it->second == 0) {
             migrating_.erase(it);
           }
+          ready_all(pin_waiters_);
           lock.unlock();
           pin_cv_.notify_all();
           return Status::Error;
@@ -841,6 +1409,9 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
         //    zero-copy: element/section traffic sees `migrating` and backs
         //    off, which is what earns Payload::borrow's immutability
         //    contract.
+        //    The slot's sequence stays odd until step 2 republishes it, so
+        //    lock-free requests fall back and wait too.
+        RouteSlot& slot = meta.route->slots[static_cast<std::size_t>(shard)];
         vp::Payload payload;
         std::vector<int> interior;
         std::vector<int> sec_plus;
@@ -853,6 +1424,7 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
           if (sit == it->second.sections.end()) return Status::Error;
           ShardSection& sec = sit->second;
           sec.migrating = true;
+          seq_open(slot);
           interior = sec.interior;
           sec_plus = sec.dims_plus;
           payload = vp::Payload::borrow(
@@ -863,7 +1435,9 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
 
         // 2. Install at the destination: one counted copy of the whole
         //    section (interior + borders), creating a replica record there
-        //    if the destination has never seen this array.
+        //    if the destination has never seen this array.  The slot now
+        //    routes there; its old route is retired until readers drain.
+        std::unique_ptr<ShardRoute> old_route;
         {
           Node& dst = node(to_proc);
           std::lock_guard<std::mutex> lock(dst.mutex);
@@ -875,6 +1449,15 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
           sec.storage =
               std::make_shared<LocalSection>(it->second.type, sec_plus);
           std::memcpy(sec.storage->data(), payload.data(), payload.size());
+          const ShardRoute& from_route =
+              *slot.route.load(std::memory_order_relaxed);
+          old_route.reset(slot.route.exchange(
+              new ShardRoute{sec.storage, from_route.stride, from_route.bias},
+              std::memory_order_seq_cst));
+          slot.owner.store(to_proc, std::memory_order_relaxed);
+          meta.route->replica[static_cast<std::size_t>(to_proc)].store(
+              true, std::memory_order_relaxed);
+          seq_close(slot);
           it->second.sections[shard] = std::move(sec);
         }
 
@@ -902,6 +1485,8 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
           auto it = src.records.find(id);
           if (it != src.records.end()) it->second.sections.erase(shard);
         }
+        drain_readers();
+        old_route.reset();
 
         if (obs::enabled()) {
           span.set_arg1(payload.size());
@@ -914,6 +1499,7 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
         std::lock_guard<std::mutex> lock(pin_mutex_);
         auto it = migrating_.find(id);
         if (it != migrating_.end() && --it->second == 0) migrating_.erase(it);
+        ready_all(pin_waiters_);
       }
       pin_cv_.notify_all();
       // Completion signal (success or failure): requesters parked on the
@@ -921,6 +1507,7 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
       {
         std::lock_guard<std::mutex> lock(route_mutex_);
         route_gen_.fetch_add(1, std::memory_order_release);
+        ready_all(route_waiters_);
       }
       route_cv_.notify_all();
       return mst;
@@ -1030,7 +1617,9 @@ Status ArrayManager::rebalance(int on_proc, ArrayId id, double max_ratio,
 
 void ArrayManager::pin_layout(ArrayId id) {
   std::unique_lock<std::mutex> lock(pin_mutex_);
-  pin_cv_.wait(lock, [&] { return migrating_.find(id) == migrating_.end(); });
+  wait_for(lock, pin_cv_, pin_waiters_,
+           std::chrono::steady_clock::time_point::max(),
+           [&] { return migrating_.find(id) == migrating_.end(); });
   ++pins_[id];
 }
 
@@ -1039,6 +1628,7 @@ void ArrayManager::unpin_layout(ArrayId id) {
     std::lock_guard<std::mutex> lock(pin_mutex_);
     auto it = pins_.find(id);
     if (it != pins_.end() && --it->second == 0) pins_.erase(it);
+    ready_all(pin_waiters_);
   }
   pin_cv_.notify_all();
 }

@@ -35,14 +35,20 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "dist/local_section.hpp"
 #include "dist/types.hpp"
+#include "sched/sched.hpp"
 #include "util/status.hpp"
 #include "vp/machine.hpp"
 #include "vp/payload.hpp"
+
+namespace tdp::obs {
+class Span;
+}  // namespace tdp::obs
 
 namespace tdp::dist {
 
@@ -96,6 +102,12 @@ struct ShardSection {
   bool migrating = false;
 };
 
+/// The flat, lock-free route to an array's shards and one shard's route
+/// in it (DESIGN §12 "Routing"), defined with the fast path in
+/// array_manager.cpp.
+struct RouteBlock;
+struct ShardRoute;
+
 /// Internal representation of a distributed array (§5.1.3).  One copy per
 /// processor that owns at least one shard, plus one on the creating
 /// processor (and on any processor a shard has migrated to).  The thesis
@@ -116,6 +128,7 @@ struct ArrayRecord {
   ShardMap shards;               ///< this replica's owner table
   std::map<long long, ShardSection> sections;  ///< owned shards only
   std::shared_ptr<ShardStats> stats;           ///< shared across replicas
+  RouteBlock* route = nullptr;  ///< shared across replicas; outlives them
 };
 
 /// A repartitioner proposal: move `shard` from its current owner to `to`.
@@ -254,7 +267,10 @@ class ArrayManager {
   /// Holds the array's placement fixed: migrate_shard blocks until every
   /// pin is released.  core::DistributedCall pins the arrays its copies
   /// resolve with find_local for the duration of the call, so a rebalance
-  /// can never move a section out from under a running program.
+  /// can never move a section out from under a running program.  A task on
+  /// a steal worker parks in both waits (pin_layout's wait for in-flight
+  /// migrations, a migration's wait for pins) instead of blocking its
+  /// worker thread.
   void pin_layout(ArrayId id);
   void unpin_layout(ArrayId id);
 
@@ -300,7 +316,8 @@ class ArrayManager {
   Status resolve_borders(const BorderSpec& spec, int ndims,
                          std::vector<int>& out) const;
 
-  /// create_local: installs a record on p with storage for `owned` shards.
+  /// create_local: installs a record on p with storage for `owned` shards
+  /// and fills their slots in the (not yet published) route block.
   void create_local(int p, const ArrayRecord& meta,
                     const std::vector<long long>& owned);
 
@@ -308,32 +325,69 @@ class ArrayManager {
   ShardSection make_section(const ArrayRecord& meta, long long shard) const;
 
   /// copy_local (§5.1.1): reallocates p's shard sections with `new_borders`
-  /// and copies the interiors; updates p's record metadata.
-  void copy_local(int p, ArrayId id, const std::vector<int>& new_borders);
+  /// and copies the interiors; updates p's record metadata.  The replaced
+  /// routes are appended to `retired` for the caller to delete once
+  /// readers have drained.
+  void copy_local(int p, ArrayId id, const std::vector<int>& new_borders,
+                  std::vector<std::unique_ptr<ShardRoute>>& retired);
 
   /// find_local (no `shard`: the lowest-ranked owned shard) and
   /// find_local_shard: waits out an in-flight migration of the section.
   Status find_section(int on_proc, ArrayId id, std::optional<long long> shard,
                       LocalSectionView& out);
 
-  /// The element/section access core.  Under `on_proc`'s lock it finds
-  /// the record, asks `locate(const ArrayRecord&)` for the shard rank (< 0
-  /// means Status::Invalid) and reads that shard's owner and epoch; when
+  /// The locked access core: section requests, and the fallback of element
+  /// requests whenever read_fast/write_fast cannot prove their route safe
+  /// (an odd or moved sequence, an unpublished block, a processor without
+  /// a record).  Under `on_proc`'s lock it finds the record, asks
+  /// `locate(const ArrayRecord&)` for the shard rank (< 0 means
+  /// Status::Invalid) and reads that shard's owner and epoch; when
   /// `on_proc` owns the shard and it is not quiesced, `fn` runs right there.
   /// Otherwise it locks the owner, following a fresher replica's owner and
   /// epoch for this shard when the shard has moved (stale-epoch forwarding)
   /// and waiting while a migration holds it quiesced.  `fn(ArrayRecord&,
-  /// ShardSection&, long long shard)` runs under the owner node's mutex; it
-  /// must not block.  Nothing on the route allocates.
+  /// ShardSection&, long long shard)` runs under the owner node's mutex,
+  /// which is the lock that guards the shard's route slot; it must not
+  /// block, and a mutation of the shard must bump the slot's sequence.
+  /// Nothing on the route allocates.
   template <class Locate, class Fn>
   Status with_shard(int on_proc, ArrayId id, Locate locate, Fn fn);
+
+  /// The lock-free element read: routes through the array's route block
+  /// and validates the shard's sequence around the load.  False when the
+  /// route cannot be proven safe; the caller then runs with_shard.
+  /// Otherwise the request is done and `st` holds its status.
+  bool read_fast(int on_proc, ArrayId id, std::span<const int> indices,
+                 Scalar& out, obs::Span& span, Status& st);
+
+  /// The one-lock element write: routes through the route block, locks
+  /// only the owner's node and re-validates the slot there.  False when
+  /// the route cannot be proven safe; the caller then runs with_shard.
+  /// Otherwise the request is done and `st` holds its status.
+  bool write_fast(int on_proc, ArrayId id, std::span<const int> indices,
+                  const Scalar& value, obs::Span& span, Status& st);
+
+  /// The published route block of `id`, or nullptr when there is none or
+  /// `on_proc` (a valid processor) holds no record of the array.
+  /// Lock-free; the caller must be inside a fast-path read section.
+  RouteBlock* find_route(int on_proc, ArrayId id) const;
+
+  /// Directory insert and removal, serialised by dir_mutex_.  Never called
+  /// under a node lock.
+  void publish_route(std::unique_ptr<RouteBlock> block);
+  std::unique_ptr<RouteBlock> unpublish_route(ArrayId id);
+
+  /// Returns once every fast-path request that could still hold a pointer
+  /// unpublished before the call has finished.  Never called under a node
+  /// lock: a fast write may be waiting for one.
+  static void drain_readers();
 
   /// The current route generation (bumped at every migration completion).
   std::uint64_t route_gen() const;
 
-  /// Blocks until the route generation advances past `seen_gen` or
+  /// Waits until the route generation advances past `seen_gen` or
   /// `deadline` passes; false on timeout.  Requesters parked on a quiesced
-  /// shard wait here instead of polling.
+  /// shard wait here instead of polling; a task on a steal worker parks.
   bool wait_route_change(
       std::uint64_t seen_gen,
       std::chrono::steady_clock::time_point deadline) const;
@@ -357,6 +411,12 @@ class ArrayManager {
   std::atomic<bool> trace_set_{false};
   std::vector<Node> nodes_;
 
+  /// The route directory: an open-addressed table of route blocks keyed by
+  /// ArrayId, read without a lock and replaced by a larger one on growth.
+  struct RouteDir;
+  std::atomic<RouteDir*> routes_;
+  std::mutex dir_mutex_;
+
   /// Repartition-barrier state: per-array pin counts and, per array, the
   /// count of migrations in flight (a count, not a set: concurrent
   /// migrations of one array overlap at the barrier before serialising on
@@ -365,11 +425,13 @@ class ArrayManager {
   /// element/section traffic, which quiesces per shard).
   std::mutex pin_mutex_;
   std::condition_variable pin_cv_;
+  std::vector<sched::TaskRef> pin_waiters_;  ///< parked tasks
   std::map<ArrayId, int> pins_;
   std::map<ArrayId, int> migrating_;
-  /// Serialises migrations so epoch bumps are totally ordered.  Taken only
-  /// after the pin barrier clears, so one array's pin wait never stalls
-  /// other arrays' migrations.
+  /// Serialises migrations so epoch bumps are totally ordered, and keeps
+  /// border changes and frees out of a migration's way.  Taken only after
+  /// the pin barrier clears, so one array's pin wait never stalls other
+  /// arrays' migrations.
   std::mutex migrate_mutex_;
   /// Migration-completion signal: every finished migration (success or
   /// failure) bumps the generation and wakes requesters parked on a
@@ -380,6 +442,7 @@ class ArrayManager {
   /// its wait).
   mutable std::mutex route_mutex_;
   mutable std::condition_variable route_cv_;
+  mutable std::vector<sched::TaskRef> route_waiters_;  ///< parked tasks
   std::atomic<std::uint64_t> route_gen_{0};
 };
 

@@ -10,6 +10,7 @@
 // pointers into it are handed to data-parallel programs as mutable arrays.
 #pragma once
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -20,6 +21,9 @@
 namespace tdp::dist {
 
 class LocalSection {
+  static_assert(std::atomic_ref<double>::is_always_lock_free &&
+                std::atomic_ref<int>::is_always_lock_free);
+
  public:
   /// Allocates zero-initialised storage for a section whose dimensions,
   /// including borders, are `dims_plus`.
@@ -52,6 +56,26 @@ class LocalSection {
   int read_i32(long long offset) const { return i32()[offset]; }
   void write_f64(long long offset, double v) { f64()[offset] = v; }
   void write_i32(long long offset, int v) { i32()[offset] = v; }
+
+  /// Element access shared with the array manager's lock-free readers:
+  /// whole-element loads and stores through std::atomic_ref.  A load is
+  /// acquire so that a reader's re-check of the shard's sequence cannot
+  /// move ahead of it; a store is release so that it cannot move ahead of
+  /// the writer's odd sequence.  On x86-64 both are plain moves.
+  double load_f64(long long offset) const {
+    return std::atomic_ref<double>(const_cast<double*>(f64())[offset])
+        .load(std::memory_order_acquire);
+  }
+  int load_i32(long long offset) const {
+    return std::atomic_ref<int>(const_cast<int*>(i32())[offset])
+        .load(std::memory_order_acquire);
+  }
+  void store_f64(long long offset, double v) {
+    std::atomic_ref<double>(f64()[offset]).store(v, std::memory_order_release);
+  }
+  void store_i32(long long offset, int v) {
+    std::atomic_ref<int>(i32()[offset]).store(v, std::memory_order_release);
+  }
 
  private:
   ElemType type_;

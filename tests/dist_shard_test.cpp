@@ -1,8 +1,9 @@
 // Tests for the sharded owner-table layer of the array manager: the
 // power-of-two shard map, uneven (ceil-div) blocks, shard migration with
-// epoch bumps, stale-owner forwarding through the server, the load-driven
-// repartitioner, the pin barrier, and the executable retry-backoff
-// contract of dist::RetryPolicy.
+// epoch bumps, stale-owner forwarding through the server, the lock-free
+// element path racing moves, border changes and frees, waits that park on
+// the steal lane, the load-driven repartitioner, the pin barrier, and the
+// executable retry-backoff contract of dist::RetryPolicy.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,8 @@
 #include "dist/layout.hpp"
 #include "fault/plan.hpp"
 #include "obs/metrics.hpp"
+#include "pcn/def.hpp"
+#include "pcn/process.hpp"
 #include "util/node_array.hpp"
 #include "vp/machine.hpp"
 
@@ -490,6 +493,278 @@ TEST_F(ShardMigrationTest, ShardTrafficWaitsOutMigration) {
   EXPECT_DOUBLE_EQ(std::get<double>(v), 41.5);
   ASSERT_EQ(am_.read_element(3, id_, std::vector<int>{1}, v), Status::Ok);
   EXPECT_DOUBLE_EQ(std::get<double>(v), 42.5);
+}
+
+// ------------------------------------------------- Lock-free element path ----
+
+// Element reads take no lock: they route through the array's route block and
+// check the shard's sequence around the load.  Readers on processors that
+// own the shard at times (1, 3) and on one that never does (0) race a writer
+// storing increasing values from processor 2, a mover bouncing the shard
+// between 1 and 3, and border changes that reallocate every section; every
+// read is Ok, holds a value the writer stored, and never goes backwards.
+// free_array then lands under the running readers: a reader's read after
+// its first NotFound is NotFound too, and so is every processor's.
+TEST(ShardRace, ReadsSeeStoredValuesInOrderAcrossMovesBorderChangesAndFree) {
+  vp::Machine machine(4);
+  dist::ArrayManager am(machine);
+  dist::ArrayId id;
+  // 16 doubles in 4 shards of 4; element 5 lives in shard 1, on processor 1.
+  ASSERT_EQ(am.create_array(0, dist::ElemType::Float64, {16},
+                            util::iota_nodes(4), {dist::DimSpec::block()},
+                            dist::BorderSpec::none(),
+                            dist::Indexing::RowMajor, id),
+            Status::Ok);
+  // The writer runs until the mover and the border changer have each done
+  // kRounds rounds, so the three always overlap.
+  constexpr int kWrites = 20000;
+  constexpr int kRounds = 50;
+  const int idx[1] = {5};
+
+  std::atomic<int> moves{0};
+  std::atomic<int> border_changes{0};
+  std::atomic<int> last_write{0};
+  std::atomic<bool> writes_done{false};
+  std::atomic<bool> freeing{false};
+  std::atomic<int> bad{0};
+  std::atomic<int> backwards{0};
+  std::atomic<long> ok_reads{0};
+  std::vector<std::thread> readers;
+  for (const int on_proc : {0, 1, 3}) {
+    readers.emplace_back([&, on_proc] {
+      double last = 0.0;
+      bool gone = false;
+      while (!gone) {
+        dist::Scalar v;
+        const Status st = am.read_element(on_proc, id, idx, v);
+        if (st == Status::NotFound && freeing.load()) {
+          gone = true;
+          continue;
+        }
+        if (st != Status::Ok) {
+          bad.fetch_add(1);
+          continue;
+        }
+        const double x = std::get<double>(v);
+        if (x < 0.0 || x != static_cast<int>(x)) bad.fetch_add(1);
+        if (x < last) backwards.fetch_add(1);
+        last = x;
+        ok_reads.fetch_add(1, std::memory_order_relaxed);
+      }
+      // Once freed, the array is gone everywhere for good.
+      dist::Scalar v;
+      if (am.read_element(on_proc, id, idx, v) != Status::NotFound) {
+        bad.fetch_add(1);
+      }
+    });
+  }
+  std::thread writer([&] {
+    int k = 0;
+    while (k < kWrites || moves.load() < kRounds ||
+           border_changes.load() < kRounds) {
+      ++k;
+      if (am.write_element(2, id, idx, dist::Scalar{static_cast<double>(k)}) !=
+          Status::Ok) {
+        bad.fetch_add(1);
+      }
+    }
+    last_write.store(k);
+    writes_done.store(true);
+  });
+  std::thread mover([&] {
+    for (int round = 0; !writes_done.load(); ++round) {
+      if (am.migrate_shard(0, id, 1, round % 2 == 0 ? 3 : 1) != Status::Ok) {
+        bad.fetch_add(1);
+      }
+      moves.fetch_add(1);
+    }
+  });
+  std::thread borders([&] {
+    for (int round = 0; !writes_done.load(); ++round) {
+      const int b = round % 2 == 0 ? 1 : 0;
+      if (am.verify_array(1, id, 1, dist::BorderSpec::exact({b, b + 1}),
+                          dist::Indexing::RowMajor) != Status::Ok) {
+        bad.fetch_add(1);
+      }
+      border_changes.fetch_add(1);
+    }
+  });
+  writer.join();
+  mover.join();
+  borders.join();
+
+  // The last stored value is what every processor reads.
+  for (int p = 0; p < 4; ++p) {
+    dist::Scalar v;
+    ASSERT_EQ(am.read_element(p, id, idx, v), Status::Ok) << p;
+    EXPECT_EQ(std::get<double>(v), last_write.load()) << p;
+  }
+  freeing.store(true);
+  EXPECT_EQ(am.free_array(3, id), Status::Ok);
+  for (std::thread& r : readers) r.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(backwards.load(), 0);
+  EXPECT_GT(ok_reads.load(), 0);
+  for (int p = 0; p < 4; ++p) {
+    dist::Scalar v;
+    EXPECT_EQ(am.read_element(p, id, idx, v), Status::NotFound) << p;
+    EXPECT_EQ(am.write_element(p, id, idx, dist::Scalar{1.0}),
+              Status::NotFound)
+        << p;
+    EXPECT_EQ(am.records_on(p), 0u) << p;
+  }
+}
+
+// Writes made on any processor, owner or not, take one lock (the owner's)
+// and must stay exact while the shard moves and its borders change: every
+// processor writes its own element of one shard and reads it straight back
+// (a write that landed in a quiesced or retired section would read back
+// stale), and each element ends at its writer's last value.
+TEST(ShardRace, WritesFromEveryProcessorSurviveMovesAndBorderChanges) {
+  vp::Machine machine(4);
+  dist::ArrayManager am(machine);
+  dist::ArrayId id;
+  // Shards of 16,384 ints: a migration's copy takes long enough for a
+  // write into the quiesced source to be caught.
+  constexpr int kShard = 1 << 14;
+  ASSERT_EQ(am.create_array(0, dist::ElemType::Int32, {4 * kShard},
+                            util::iota_nodes(4), {dist::DimSpec::block()},
+                            dist::BorderSpec::none(),
+                            dist::Indexing::RowMajor, id),
+            Status::Ok);
+  // The writers run until the mover has done kRounds rounds, so writes
+  // always overlap moves and border changes.
+  constexpr int kWrites = 5000;
+  constexpr int kRounds = 40;
+  std::atomic<int> rounds{0};
+  std::atomic<int> writers_left{4};
+  std::atomic<int> bad{0};
+  int last[4] = {};
+  std::vector<std::thread> writers;
+  for (int p = 0; p < 4; ++p) {
+    writers.emplace_back([&, p] {
+      const int idx[1] = {kShard + p};  // shard 1
+      int k = 0;
+      while (k < kWrites || rounds.load() < kRounds) {
+        ++k;
+        dist::Scalar v;
+        if (am.write_element(p, id, idx, dist::Scalar{k}) != Status::Ok ||
+            am.read_element(p, id, idx, v) != Status::Ok ||
+            std::get<int>(v) != k) {
+          bad.fetch_add(1);
+        }
+      }
+      last[p] = k;
+      writers_left.fetch_sub(1);
+    });
+  }
+  do {
+    const int r = rounds.load();
+    ASSERT_EQ(am.migrate_shard(0, id, 1, r % 2 == 0 ? 2 : 1), Status::Ok);
+    ASSERT_EQ(am.verify_array(0, id, 1, dist::BorderSpec::exact({r % 3, 1}),
+                              dist::Indexing::RowMajor),
+              Status::Ok);
+    rounds.fetch_add(1);
+  } while (writers_left.load() > 0);
+  for (std::thread& w : writers) w.join();
+  EXPECT_EQ(bad.load(), 0);
+  for (int p = 0; p < 4; ++p) {
+    const int idx[1] = {kShard + p};
+    dist::Scalar v;
+    ASSERT_EQ(am.read_element(3, id, idx, v), Status::Ok);
+    EXPECT_EQ(std::get<int>(v), last[p]) << "element " << kShard + p;
+  }
+}
+
+// ---------------------------------------------- Waits on a steal worker ----
+
+// Every wait in the array manager parks its task on the steal lane instead
+// of blocking the worker thread.  With one worker (the
+// Dist.ParkedWaitsOnOneStealWorker ctest), a task holds a pin on array A
+// until a reader releases it; a migration of A waits out that pin, and a
+// second pinned call waits out the migration.  Blocking the worker in
+// either wait would starve the task that ends it.  Meanwhile a thread
+// outside the scheduler bounces a shard of array B, so the reader's reads
+// of it catch the shard quiesced and park until the move lands.  On the
+// thread lane the same program runs on threads.
+TEST(ParkedWaits, PinnedCallsAndReadsFinishWhileAMigrationRunsOnTheSameWorker) {
+  vp::Machine machine(4);
+  dist::ArrayManager am(machine);
+  // 16 doubles in 8 shards of 2, two per processor; element i holds i+0.25.
+  const auto make = [&] {
+    dist::ArrayId id;
+    EXPECT_EQ(am.create_array(0, dist::ElemType::Float64, {16},
+                              util::iota_nodes(4),
+                              {dist::DimSpec::block_n(8)},
+                              dist::BorderSpec::none(),
+                              dist::Indexing::RowMajor, id),
+              Status::Ok);
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_EQ(am.write_element(0, id, std::vector<int>{i},
+                                 dist::Scalar{i + 0.25}),
+                Status::Ok);
+    }
+    return id;
+  };
+  const dist::ArrayId a = make();
+  const dist::ArrayId b = make();
+  pcn::Def<int> pinned;
+  pcn::Def<int> migrating;
+  pcn::Def<int> release;
+  std::atomic<int> migrated{-1};
+  std::atomic<int> bad{0};
+  std::atomic<bool> reads_done{false};
+  std::atomic<int> bounces{0};
+
+  // Bounces B's shard 6 (elements 12, 13) between processors 2 and 0 for
+  // as long as the reader reads.
+  std::thread bouncer([&] {
+    for (int round = 0; !reads_done.load(); ++round) {
+      if (am.migrate_shard(3, b, 6, round % 2 == 0 ? 0 : 2) != Status::Ok) {
+        bad.fetch_add(1);
+      }
+      bounces.fetch_add(1);
+    }
+  });
+  {
+    pcn::ProcessGroup group;
+    group.spawn_on(machine, 0, [&] {  // the pinned call
+      am.pin_layout(a);
+      pinned.define(1);
+      release.read();
+      am.unpin_layout(a);
+    });
+    group.spawn_on(machine, 1, [&] {  // the migration, behind the pin
+      pinned.read();
+      migrating.define(1);
+      migrated.store(static_cast<int>(am.migrate_shard(1, a, 2, 3)));
+    });
+    group.spawn_on(machine, 2, [&] {  // reads, then a pin behind the move
+      migrating.read();
+      for (int i = 0; i < 400 || bounces.load() < 20; ++i) {
+        const bool of_b = i % 2 == 0;
+        const int e = (of_b ? 12 : 4) + i / 2 % 2;
+        dist::Scalar v;
+        if (am.read_element(2, of_b ? b : a, std::vector<int>{e}, v) !=
+                Status::Ok ||
+            std::get<double>(v) != e + 0.25) {
+          bad.fetch_add(1);
+        }
+      }
+      reads_done.store(true);
+      release.define(1);
+      am.pin_layout(a);
+      am.unpin_layout(a);
+    });
+    group.join();
+  }
+  bouncer.join();
+  EXPECT_EQ(migrated.load(), static_cast<int>(Status::Ok));
+  EXPECT_EQ(bad.load(), 0);
+  dist::InfoValue owners;
+  ASSERT_EQ(am.find_info(0, a, dist::InfoKind::ShardOwners, owners),
+            Status::Ok);
+  EXPECT_EQ(std::get<std::vector<int>>(owners)[2], 3);
 }
 
 // ---------------------------------------------------------- Rebalancer ----
