@@ -1362,13 +1362,22 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
         return Status::Invalid;
       }
 
-      // Repartition barrier: block new layout pins, drain existing ones.
-      // Runs before migrate_mutex_ is taken, so one array's pin wait never
-      // stalls other arrays' migrations; and the drain is bounded, so a
-      // migration requested from code that itself pins this array (which
-      // could never be satisfied) fails instead of self-deadlocking.
+      // Repartition barrier: let pinners already waiting in first, then
+      // block new layout pins and drain existing ones.  Runs before
+      // migrate_mutex_ is taken, so one array's pin wait never stalls other
+      // arrays' migrations.  The hand-over has no deadline of its own: it
+      // ends once the migrations already in flight end (each bounded by
+      // its own drain) and the waiting pinners hold their pins.  The drain
+      // is bounded from then on, so a migration requested from code that
+      // itself pins this array (which could never be satisfied) fails
+      // instead of self-deadlocking.
       {
         std::unique_lock<std::mutex> lock(pin_mutex_);
+        // Back-to-back migrations would otherwise keep migrating_ non-zero
+        // and starve a waiting pinner indefinitely.
+        wait_for(lock, pin_cv_, pin_waiters_,
+                 std::chrono::steady_clock::time_point::max(),
+                 [&] { return !pin_wanted_.contains(id); });
         ++migrating_[id];
         const bool drained = wait_for(
             lock, pin_cv_, pin_waiters_,
@@ -1617,10 +1626,22 @@ Status ArrayManager::rebalance(int on_proc, ArrayId id, double max_ratio,
 
 void ArrayManager::pin_layout(ArrayId id) {
   std::unique_lock<std::mutex> lock(pin_mutex_);
+  if (!migrating_.contains(id)) {
+    ++pins_[id];
+    return;
+  }
+  // Announce the wait: a migration arriving from now on lets this pin in
+  // before it blocks pins again.
+  ++pin_wanted_[id];
   wait_for(lock, pin_cv_, pin_waiters_,
            std::chrono::steady_clock::time_point::max(),
-           [&] { return migrating_.find(id) == migrating_.end(); });
+           [&] { return !migrating_.contains(id); });
   ++pins_[id];
+  auto it = pin_wanted_.find(id);
+  if (--it->second == 0) pin_wanted_.erase(it);
+  ready_all(pin_waiters_);
+  lock.unlock();
+  pin_cv_.notify_all();
 }
 
 void ArrayManager::unpin_layout(ArrayId id) {

@@ -265,12 +265,13 @@ class ArrayManager {
   // --- Repartition barrier (distributed-call integration). ----------------
 
   /// Holds the array's placement fixed: migrate_shard blocks until every
-  /// pin is released.  core::DistributedCall pins the arrays its copies
-  /// resolve with find_local for the duration of the call, so a rebalance
-  /// can never move a section out from under a running program.  A task on
-  /// a steal worker parks in both waits (pin_layout's wait for in-flight
-  /// migrations, a migration's wait for pins) instead of blocking its
-  /// worker thread.
+  /// pin is released.  A pin waits out the migrations in flight, and a
+  /// migration that arrives while it waits lets it in first.
+  /// core::DistributedCall pins the arrays its copies resolve with
+  /// find_local for the duration of the call, so a rebalance can never
+  /// move a section out from under a running program.  A task on a steal
+  /// worker parks in each of these waits instead of blocking its worker
+  /// thread.
   void pin_layout(ArrayId id);
   void unpin_layout(ArrayId id);
 
@@ -422,12 +423,15 @@ class ArrayManager {
   /// migrations of one array overlap at the barrier before serialising on
   /// migrate_mutex_, and pins must stay blocked until the last one ends).
   /// Pins block migrations; migrations block new pins (but never
-  /// element/section traffic, which quiesces per shard).
+  /// element/section traffic, which quiesces per shard).  A migration
+  /// that finds pinners waiting (pin_wanted_) waits for them to pin
+  /// first, so back-to-back migrations cannot starve a pin.
   std::mutex pin_mutex_;
   std::condition_variable pin_cv_;
   std::vector<sched::TaskRef> pin_waiters_;  ///< parked tasks
   std::map<ArrayId, int> pins_;
   std::map<ArrayId, int> migrating_;
+  std::map<ArrayId, int> pin_wanted_;  ///< pinners waiting on a migration
   /// Serialises migrations so epoch bumps are totally ordered, and keeps
   /// border changes and frees out of a migration's way.  Taken only after
   /// the pin barrier clears, so one array's pin wait never stalls other

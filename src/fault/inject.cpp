@@ -1,10 +1,12 @@
 #include "fault/inject.hpp"
 
 #include <chrono>
+#include <mutex>
 #include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sched/sched.hpp"
 
 namespace tdp::fault {
 
@@ -65,6 +67,22 @@ obs::ShardedCounter& request_drops_counter() {
   return c;
 }
 
+/// Holds the calling sender for `delay`.  A task on a steal worker parks
+/// until the deadline, so the other tasks on its worker keep running; any
+/// other caller sleeps.
+void hold_sender(std::chrono::milliseconds delay) {
+  if (!sched::on_worker_fiber()) {
+    std::this_thread::sleep_for(delay);
+    return;
+  }
+  const auto deadline = std::chrono::steady_clock::now() + delay;
+  std::mutex mutex;
+  std::unique_lock<std::mutex> lock(mutex);
+  while (std::chrono::steady_clock::now() < deadline) {
+    sched::park_until(lock, deadline);
+  }
+}
+
 }  // namespace
 
 Injector::Injector(Plan plan, int nprocs) : plan_(std::move(plan)) {
@@ -123,7 +141,7 @@ void Injector::on_send(int src_vp, int dst, vp::Message&& m,
     }
     // Holding the sender is the delay: the message (and everything the
     // sender would have sent next) arrives late relative to other senders.
-    std::this_thread::sleep_for(std::chrono::milliseconds(plan_.delay_ms));
+    hold_sender(std::chrono::milliseconds(plan_.delay_ms));
   }
 
   const bool dup =

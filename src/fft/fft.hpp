@@ -32,10 +32,20 @@
 //     (SpmdContext::exchange_payload, lower index sends first); each copy
 //     reads the partner's block where the received payload lies and
 //     computes its own elements.
+//   * On x86-64 CPUs with AVX2 (asked once, __builtin_cpu_supports), every
+//     stage of span >= 4 and every exchange stage of a block of >= 2 points
+//     runs two butterflies per 256-bit register, laid out [re0 im0 re1 im1].
+//     The complex product is movedup/permute + mul + addsub: each lane
+//     forms the same two products and the same sum or difference as the
+//     scalar multiply, and no multiply-add is fused (an FMA rounds once
+//     where the scalar code rounds twice).  The forward transform's
+//     conjugated twiddles flip the imaginary sign bit.  Elsewhere — span-2
+//     stages, one-point blocks, CPUs without AVX2, other architectures —
+//     the scalar kernel runs.
 // These only reorder independent butterflies and read the table's own
 // twiddle values, so the output is bitwise identical to the stage-by-stage
-// kernel on one copy, for every P (tests/fft_test.cpp pins this with
-// memcmp).
+// kernel on one copy, for every P and either kernel (tests/fft_test.cpp
+// pins this with memcmp).
 #pragma once
 
 #include <span>
@@ -72,5 +82,16 @@ void fft_natural(spmd::SpmdContext& ctx, int n, int flag,
 ///   "fft_reverse"   — Procs, P, index, NN, Flag, local epsilon, local bb
 ///   "fft_natural"   — Procs, P, index, NN, Flag, local epsilon, local bb
 void register_programs(core::ProgramRegistry& registry);
+
+namespace detail {
+
+/// The butterfly kernel the transforms run now: "avx2" or "scalar".
+const char* kernel_name();
+
+/// While `on`, every transform runs the scalar kernel, whatever the CPU
+/// supports (a test seam: both kernels must give the same bits).
+void force_scalar_kernel(bool on);
+
+}  // namespace detail
 
 }  // namespace tdp::fft

@@ -2,8 +2,9 @@
 // power-of-two shard map, uneven (ceil-div) blocks, shard migration with
 // epoch bumps, stale-owner forwarding through the server, the lock-free
 // element path racing moves, border changes and frees, waits that park on
-// the steal lane, the load-driven repartitioner, the pin barrier, and the
-// executable retry-backoff contract of dist::RetryPolicy.
+// the steal lane, the load-driven repartitioner, the pin barrier and its
+// fairness to pinning calls, and the executable retry-backoff contract of
+// dist::RetryPolicy.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/runtime.hpp"
 #include "dist/array_manager.hpp"
 #include "dist/array_server.hpp"
 #include "dist/layout.hpp"
@@ -765,6 +767,109 @@ TEST(ParkedWaits, PinnedCallsAndReadsFinishWhileAMigrationRunsOnTheSameWorker) {
   ASSERT_EQ(am.find_info(0, a, dist::InfoKind::ShardOwners, owners),
             Status::Ok);
   EXPECT_EQ(std::get<std::vector<int>>(owners)[2], 3);
+}
+
+// A distributed call pins the arrays it passes as local() for as long as
+// it runs.  Back-to-back migrations of one of them must not starve that
+// pin: a migration that finds the pinner waiting lets it in first.  Here
+// the test holds a pin of its own, so each migration of the array waits
+// out kPinDrainTimeout (2 s) at the barrier and fails.  Two threads start
+// such migrations in a loop, a second apart, so one is always in flight
+// and an unfair barrier never lets the call's pin in (they stop after
+// 15 s).  With the hand-over, the call pins once the migrations already in
+// flight end, and must finish within 5 s.
+TEST(PinBarrier, PinnedCallFinishesWhileMigrationsRunBackToBack) {
+  core::Runtime rt(4);
+  rt.programs().add("touch", [](spmd::SpmdContext&, core::CallArgs& args) {
+    args.local(0).f64()[0] += 1.0;
+  });
+  dist::ArrayId id;
+  ASSERT_EQ(rt.arrays().create_array(0, dist::ElemType::Float64, {16},
+                                     rt.all_procs(),
+                                     {dist::DimSpec::block_n(8)},
+                                     dist::BorderSpec::none(),
+                                     dist::Indexing::RowMajor, id),
+            Status::Ok);
+  rt.arrays().pin_layout(id);
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::atomic<int> bad{0};
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(15);
+  const auto migrate = [&](int to) {
+    while (!stop.load() && std::chrono::steady_clock::now() < give_up) {
+      started.fetch_add(1);
+      const Status st = rt.arrays().migrate_shard(0, id, 6, to);
+      if (st != Status::Ok && st != Status::Error) bad.fetch_add(1);
+    }
+  };
+  std::thread first(migrate, 0);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  std::thread second(migrate, 2);
+  while (started.load() < 2) std::this_thread::yield();
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(rt.call(rt.all_procs(), "touch").local(id).run(), kStatusOk);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  stop.store(true);
+  rt.arrays().unpin_layout(id);
+  first.join();
+  second.join();
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+  EXPECT_EQ(bad.load(), 0);
+}
+
+// A migration that arrives while an earlier one is in flight and a pinner
+// waits lets the pinner in first, and only then starts its own 2 s pin
+// drain.  Here the earlier migration waits out a pin the test holds until
+// 0.8 s after the later one arrives; the pinner then holds its pin until
+// 2.4 s after that arrival.  Counted from the arrival, the drain would run
+// out before the pinner lets go; counted from the hand-over, it does not,
+// so both migrations must succeed.
+TEST(PinBarrier, MigrationBehindAWaitingPinnerGetsItsWholeDrainBound) {
+  vp::Machine machine(4);
+  dist::ArrayManager am(machine);
+  dist::ArrayId id;
+  ASSERT_EQ(am.create_array(0, dist::ElemType::Float64, {16},
+                            util::iota_nodes(4), {dist::DimSpec::block_n(8)},
+                            dist::BorderSpec::none(), dist::Indexing::RowMajor,
+                            id),
+            Status::Ok);
+  am.pin_layout(id);
+  std::atomic<int> first{-1};
+  std::atomic<int> second{-1};
+  std::atomic<bool> pinned{false};
+  std::atomic<bool> release{false};
+  std::thread earlier(
+      [&] { first.store(static_cast<int>(am.migrate_shard(1, id, 2, 3))); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  std::thread pinner([&] {
+    am.pin_layout(id);
+    pinned.store(true);
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    am.unpin_layout(id);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto arrival = std::chrono::steady_clock::now();
+  std::thread later(
+      [&] { second.store(static_cast<int>(am.migrate_shard(0, id, 6, 1))); });
+  std::this_thread::sleep_until(arrival + std::chrono::milliseconds(800));
+  am.unpin_layout(id);
+  while (!pinned.load()) std::this_thread::yield();
+  std::this_thread::sleep_until(arrival + std::chrono::milliseconds(2400));
+  release.store(true);
+  earlier.join();
+  pinner.join();
+  later.join();
+  EXPECT_EQ(first.load(), static_cast<int>(Status::Ok));
+  EXPECT_EQ(second.load(), static_cast<int>(Status::Ok));
+  dist::InfoValue owners;
+  ASSERT_EQ(am.find_info(0, id, dist::InfoKind::ShardOwners, owners),
+            Status::Ok);
+  EXPECT_EQ(std::get<std::vector<int>>(owners)[2], 3);
+  EXPECT_EQ(std::get<std::vector<int>>(owners)[6], 1);
 }
 
 // ---------------------------------------------------------- Rebalancer ----

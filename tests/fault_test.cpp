@@ -16,6 +16,7 @@
 #include "fault/plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "pcn/def.hpp"
 #include "pcn/process.hpp"
 #include "spmd/coll.hpp"
 #include "spmd/context.hpp"
@@ -181,6 +182,44 @@ TEST(FaultMachine, FullDropNeverDelivers) {
   machine.send(1, std::move(m));
   EXPECT_EQ(machine.mailbox(1).pending(), 0u);
   EXPECT_EQ(machine.faults()->counts().drops, 1u);
+}
+
+// A delayed send holds its sender, not the worker thread under it: on the
+// steal lane the sender parks.  With one worker (the
+// Fault.ParkedDelayOnOneStealWorker ctest) a second task, readied just
+// before the send starts its 300 ms hold, must finish before the send
+// lands; a sender that slept would keep the only worker until then.  On
+// the thread lane the two tasks run on their own threads.
+TEST(ParkedDelay, SecondTaskFinishesBeforeTheDelayedSendLands) {
+  vp::Machine machine(2);
+  fault::Plan plan;
+  plan.delay_ms = 300;
+  machine.set_fault_plan(plan);
+  pcn::Def<int> sending;
+  std::chrono::steady_clock::time_point landed;
+  std::chrono::steady_clock::time_point finished;
+  {
+    pcn::ProcessGroup group;
+    group.spawn_on(machine, 0, [&] {
+      sending.define(1);
+      vp::Message m;
+      m.tag = 7;
+      machine.send(1, std::move(m));
+      landed = std::chrono::steady_clock::now();
+    });
+    group.spawn_on(machine, 1, [&] {
+      sending.read();
+      finished = std::chrono::steady_clock::now();
+    });
+    group.join();
+  }
+  machine.set_fault_plan(fault::Plan{});
+  EXPECT_EQ(machine.mailbox(1).pending(), 1u);
+  const auto lead =
+      std::chrono::duration_cast<std::chrono::microseconds>(landed - finished);
+  EXPECT_GT(lead.count(), 0)
+      << "the second task finished " << -lead.count()
+      << " us after the delayed send landed";
 }
 
 // ----------------------------------------------------- Receive deadline ----

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <random>
 #include <string>
@@ -239,6 +240,49 @@ TEST(DistributedFftBitwise, EveryGroupSizeMatchesTheStageByStageKernel) {
           reverse_order ? one : bit_reverse_permute(one);
       expect_near(natural, flag == kForward ? forward : inverse, 1e-8 * n);
     }
+  }
+}
+
+TEST(DistributedFftBitwise, BothKernelsMatchTheStageByStageKernel) {
+  // Each kernel, forced in turn, against the one-copy reference bit for
+  // bit: b = 1, 2 and 4 points per copy reach the scalar tails (span-2
+  // stages, one-point exchange blocks), and P = 2 and 4 the exchange
+  // twiddle strides 1 and 2.
+  const std::string selected = detail::kernel_name();
+  std::printf("fft kernel: %s\n", selected.c_str());
+  struct RestoreKernel {
+    ~RestoreKernel() { detail::force_scalar_kernel(false); }
+  } restore;
+  for (const bool scalar : {true, false}) {
+    if (!scalar && selected != "avx2") break;
+    detail::force_scalar_kernel(scalar);
+    ASSERT_STREQ(detail::kernel_name(), scalar ? "scalar" : "avx2");
+    for (const int n : {8, 64, 8192, 65536}) {
+      std::vector<double> eps(static_cast<std::size_t>(2 * n));
+      compute_roots(n, eps.data());
+      const std::vector<Cx> x = random_signal(n, 37);
+      const std::vector<Cx> scattered = bit_reverse_permute(x);
+      for (const bool reverse_order : {true, false}) {
+        for (const int flag : {kInverse, kForward}) {
+          const std::vector<Cx>& input = reverse_order ? scattered : x;
+          std::vector<double> want = to_interleaved(input);
+          reference_fft(n, flag, reverse_order, eps.data(), want.data());
+          for (const int p : {1, 2, 4, 8}) {
+            if (p > n) continue;
+            EXPECT_TRUE(same_bits(
+                run_transform(p, n, input, flag, reverse_order),
+                from_interleaved(want)))
+                << detail::kernel_name() << " kernel, "
+                << (reverse_order ? "fft_reverse" : "fft_natural")
+                << (flag == kForward ? " forward" : " inverse")
+                << ", n = " << n << ", p = " << p;
+          }
+        }
+      }
+    }
+  }
+  if (selected != "avx2") {
+    GTEST_SKIP() << "this CPU has no AVX2: only the scalar kernel was tested";
   }
 }
 
