@@ -7,19 +7,11 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sched/sched.hpp"
+#include "util/bits.hpp"
 
 namespace tdp::fault {
 
 namespace {
-
-/// splitmix64 finalizer: a bijective avalanche mix, the standard way to
-/// turn a structured counter into decision bits.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// Uniform double in [0, 1) from the top 53 bits of a mixed word.
 double u01(std::uint64_t word) {
@@ -31,14 +23,11 @@ double u01(std::uint64_t word) {
 constexpr std::uint64_t kSaltDrop = 0xd1f7a11ed5ea501dULL;
 constexpr std::uint64_t kSaltDup = 0x2b7e151628aed2a6ULL;
 constexpr std::uint64_t kSaltReorder = 0x452821e638d01377ULL;
-constexpr std::uint64_t kSaltRequest = 0x9216d5d98979fb1bULL;
 
 std::uint64_t decision_word(std::uint64_t seed, int dst, std::uint64_t seq,
                             std::uint64_t salt) {
-  return mix(seed ^ salt ^
-             mix((static_cast<std::uint64_t>(static_cast<unsigned>(dst))
-                  << 32) ^
-                 seq));
+  const auto d = static_cast<std::uint64_t>(static_cast<unsigned>(dst));
+  return util::mix64(seed ^ salt ^ util::mix64((d << 32) ^ seq));
 }
 
 obs::ShardedCounter& drops_counter() {
@@ -61,27 +50,6 @@ obs::ShardedCounter& reorders_counter() {
       obs::Registry::instance().counter("fault.reorders");
   return c;
 }
-obs::ShardedCounter& request_drops_counter() {
-  static obs::ShardedCounter& c =
-      obs::Registry::instance().counter("fault.request_drops");
-  return c;
-}
-
-/// Holds the calling sender for `delay`.  A task on a steal worker parks
-/// until the deadline, so the other tasks on its worker keep running; any
-/// other caller sleeps.
-void hold_sender(std::chrono::milliseconds delay) {
-  if (!sched::on_worker_fiber()) {
-    std::this_thread::sleep_for(delay);
-    return;
-  }
-  const auto deadline = std::chrono::steady_clock::now() + delay;
-  std::mutex mutex;
-  std::unique_lock<std::mutex> lock(mutex);
-  while (std::chrono::steady_clock::now() < deadline) {
-    sched::park_until(lock, deadline);
-  }
-}
 
 }  // namespace
 
@@ -103,24 +71,17 @@ bool Injector::vp_failed(int vp) const {
 
 void Injector::on_send(int src_vp, int dst, vp::Message&& m,
                        const Deliver& deliver) {
-  if (vp_failed(src_vp) || vp_failed(dst)) {
-    drops_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::enabled()) {
-      drops_counter().add();
-      obs::instant_flow(obs::Op::FaultDrop, m.flow, m.comm,
-                        static_cast<std::uint64_t>(dst),
-                        static_cast<std::uint64_t>(
-                            static_cast<unsigned>(m.tag)));
-    }
-    return;
-  }
-
+  // A failed endpoint loses everything; otherwise the plan's drop
+  // probability applies at this destination's next sequence number.
+  const bool lost = vp_failed(src_vp) || vp_failed(dst);
   DstState& state = dst_state(dst);
   const std::uint64_t seq =
-      state.msg_seq.fetch_add(1, std::memory_order_relaxed);
-
-  if (plan_.drop > 0.0 &&
-      u01(decision_word(plan_.seed, dst, seq, kSaltDrop)) < plan_.drop) {
+      lost ? 0 : state.msg_seq.fetch_add(1, std::memory_order_relaxed);
+  const bool dropped =
+      lost || (plan_.drop > 0.0 &&
+               u01(decision_word(plan_.seed, dst, seq, kSaltDrop)) <
+                   plan_.drop);
+  if (dropped) {
     drops_.fetch_add(1, std::memory_order_relaxed);
     if (obs::enabled()) {
       drops_counter().add();
@@ -141,7 +102,7 @@ void Injector::on_send(int src_vp, int dst, vp::Message&& m,
     }
     // Holding the sender is the delay: the message (and everything the
     // sender would have sent next) arrives late relative to other senders.
-    hold_sender(std::chrono::milliseconds(plan_.delay_ms));
+    sched::sleep_for(std::chrono::milliseconds(plan_.delay_ms));
   }
 
   const bool dup =
@@ -193,35 +154,6 @@ void Injector::on_send(int src_vp, int dst, vp::Message&& m,
   deliver(std::move(m));
 }
 
-bool Injector::drop_request(int dst) {
-  if (vp_failed(dst)) {
-    request_drops_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::enabled()) {
-      request_drops_counter().add();
-      obs::instant(obs::Op::FaultDrop, 0, static_cast<std::uint64_t>(dst),
-                   /*arg1=*/1);
-    }
-    return true;
-  }
-  if (plan_.drop <= 0.0 || dst < 0 ||
-      dst >= static_cast<int>(dsts_.size())) {
-    return false;
-  }
-  DstState& state = dst_state(dst);
-  const std::uint64_t seq =
-      state.req_seq.fetch_add(1, std::memory_order_relaxed);
-  if (u01(decision_word(plan_.seed, dst, seq, kSaltRequest)) < plan_.drop) {
-    request_drops_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::enabled()) {
-      request_drops_counter().add();
-      obs::instant(obs::Op::FaultDrop, 0, static_cast<std::uint64_t>(dst),
-                   /*arg1=*/1);
-    }
-    return true;
-  }
-  return false;
-}
-
 void Injector::start_stash_flusher(LateSink sink) {
   if (plan_.reorder <= 0.0 || flusher_.joinable()) return;
   late_sink_ = std::move(sink);
@@ -251,38 +183,30 @@ void Injector::flusher_loop() {
                            [this] { return flusher_stop_; });
       if (flusher_stop_) return;
     }
-    const auto now = std::chrono::steady_clock::now();
-    for (std::size_t dst = 0; dst < dsts_.size(); ++dst) {
-      std::optional<vp::Message> late;
-      {
-        std::lock_guard<std::mutex> lock(dsts_[dst]->stash_mutex);
-        if (dsts_[dst]->stash.has_value() &&
-            now - dsts_[dst]->stash_since >= kHold) {
-          late = std::move(dsts_[dst]->stash);
-          dsts_[dst]->stash.reset();
-        }
-      }
-      if (late.has_value()) {
-        late_sink_(static_cast<int>(dst), std::move(*late));
-      }
-    }
+    flush_stashes(kHold, late_sink_);
   }
 }
 
-void Injector::drain(
-    const std::function<void(int dst, vp::Message&&)>& deliver) {
-  stop_stash_flusher();
+void Injector::flush_stashes(std::chrono::steady_clock::duration min_age,
+                             const LateSink& sink) {
+  const auto now = std::chrono::steady_clock::now();
   for (std::size_t dst = 0; dst < dsts_.size(); ++dst) {
     std::optional<vp::Message> held;
     {
       std::lock_guard<std::mutex> lock(dsts_[dst]->stash_mutex);
-      if (dsts_[dst]->stash.has_value()) {
+      if (dsts_[dst]->stash.has_value() &&
+          now - dsts_[dst]->stash_since >= min_age) {
         held = std::move(dsts_[dst]->stash);
         dsts_[dst]->stash.reset();
       }
     }
-    if (held.has_value()) deliver(static_cast<int>(dst), std::move(*held));
+    if (held.has_value()) sink(static_cast<int>(dst), std::move(*held));
   }
+}
+
+void Injector::drain(const LateSink& deliver) {
+  stop_stash_flusher();
+  flush_stashes(std::chrono::steady_clock::duration::zero(), deliver);
 }
 
 InjectionCounts Injector::counts() const {
@@ -291,7 +215,6 @@ InjectionCounts Injector::counts() const {
   c.delays = delays_.load(std::memory_order_relaxed);
   c.dups = dups_.load(std::memory_order_relaxed);
   c.reorders = reorders_.load(std::memory_order_relaxed);
-  c.request_drops = request_drops_.load(std::memory_order_relaxed);
   return c;
 }
 

@@ -4,9 +4,10 @@
 // One Injector belongs to one vp::Machine.  Machine::send routes every
 // message through on_send(), which may deliver it zero, one, or two times
 // (drop / normal or delayed / duplicate) and may hold a message back to
-// swap its order with the next one bound for the same destination.
-// vp::ServerSystem routes server requests through drop_request(), so a
-// "failed" virtual processor loses its server traffic too.
+// swap its order with the next one bound for the same destination.  It is
+// the only fault point: array-manager requests and their replies are
+// messages too (dist/array_server.hpp), so a "failed" virtual processor
+// loses them like any other traffic.
 //
 // Determinism: every decision is a pure function of (plan.seed, destination,
 // per-destination sequence number).  The sequence number counts messages
@@ -48,7 +49,6 @@ struct InjectionCounts {
   std::uint64_t delays = 0;
   std::uint64_t dups = 0;
   std::uint64_t reorders = 0;
-  std::uint64_t request_drops = 0;
 };
 
 class Injector {
@@ -89,16 +89,9 @@ class Injector {
 
   ~Injector();
 
-  /// Whether a server request addressed to processor `dst` is lost in
-  /// transit (failed destination, or the plan's drop probability applied to
-  /// an independent per-destination request sequence).  The requester's
-  /// reply definitional then never becomes defined — which is exactly what
-  /// the bounded-retry helpers in dist/array_server.hpp exist to absorb.
-  bool drop_request(int dst);
-
   /// Delivers any messages still stashed for reordering (machine teardown;
   /// an unflushed stash would otherwise act as an unplanned drop).
-  void drain(const std::function<void(int dst, vp::Message&&)>& deliver);
+  void drain(const LateSink& deliver);
 
   /// True when `vp` is marked failed by the plan.
   bool vp_failed(int vp) const;
@@ -108,13 +101,15 @@ class Injector {
  private:
   struct alignas(64) DstState {
     std::atomic<std::uint64_t> msg_seq{0};
-    std::atomic<std::uint64_t> req_seq{0};
     std::mutex stash_mutex;
     std::optional<vp::Message> stash;
     std::chrono::steady_clock::time_point stash_since{};
   };
 
   void flusher_loop();
+  /// Delivers through `sink` every stash held for at least `min_age`.
+  void flush_stashes(std::chrono::steady_clock::duration min_age,
+                     const LateSink& sink);
 
   DstState& dst_state(int dst) {
     return *dsts_[static_cast<std::size_t>(dst)];
@@ -128,7 +123,6 @@ class Injector {
   std::atomic<std::uint64_t> delays_{0};
   std::atomic<std::uint64_t> dups_{0};
   std::atomic<std::uint64_t> reorders_{0};
-  std::atomic<std::uint64_t> request_drops_{0};
 
   std::mutex flusher_mu_;
   std::condition_variable flusher_cv_;

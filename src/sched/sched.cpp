@@ -778,6 +778,16 @@ void park_until(std::unique_lock<std::mutex>& lock,
   Scheduler::instance().park_until(lock, deadline);
 }
 
+void sleep_for(std::chrono::steady_clock::duration d) {
+  if (!on_worker_fiber()) return std::this_thread::sleep_for(d);
+  const auto deadline = std::chrono::steady_clock::now() + d;
+  std::mutex mutex;
+  std::unique_lock<std::mutex> lock(mutex);
+  while (std::chrono::steady_clock::now() < deadline) {
+    park_until(lock, deadline);
+  }
+}
+
 Stats stats() { return Scheduler::instance().snapshot(); }
 
 }  // namespace tdp::sched

@@ -110,6 +110,11 @@ void park(std::unique_lock<std::mutex>& lock);
 void park_until(std::unique_lock<std::mutex>& lock,
                 std::chrono::steady_clock::time_point deadline);
 
+/// Holds the caller for `d`: a task on a steal worker parks until the
+/// deadline, so the other tasks on its worker keep running; any other
+/// caller sleeps its thread.
+void sleep_for(std::chrono::steady_clock::duration d);
+
 /// Scheduler-state snapshot for diagnostics (the telemetry probe, whose
 /// counts also render as a stall report's "sched:" line, so "suspended
 /// task" never reads as "deadlocked thread"; tests).  All zeros until the

@@ -21,6 +21,13 @@ std::uint64_t bit_reverse(int bits, std::uint64_t value) {
   return out;
 }
 
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 std::int64_t ipow(std::int64_t r, int n) {
   std::int64_t out = 1;
   for (int i = 0; i < n; ++i) out *= r;

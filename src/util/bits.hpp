@@ -28,4 +28,8 @@ bool exact_iroot(std::int64_t value, int n, std::int64_t* root);
 /// Integer power r^n with saturation guard for the small values used here.
 std::int64_t ipow(std::int64_t r, int n);
 
+/// The splitmix64 finaliser: a bijective avalanche mix that turns a
+/// structured counter into well-spread decision bits.
+std::uint64_t mix64(std::uint64_t x);
+
 }  // namespace tdp::util

@@ -71,8 +71,7 @@ class Machine {
   std::string transport_diagnostic() const { return transport_->diagnose(); }
 
   /// The active fault injector, or nullptr when no plan is in effect.
-  /// Non-send fault points (e.g. server-request drops in vp::ServerSystem)
-  /// consult this.
+  /// send() is its only fault point; tests read its counts through this.
   fault::Injector* faults() { return injector_.get(); }
 
   /// Installs (or, with an inactive plan, removes) a programmatic fault

@@ -55,6 +55,9 @@ class Transport {
   /// True when some destinations live in other OS processes.
   virtual bool remote() const { return false; }
 
+  /// True when processor `p`'s mailbox lives in this OS process.
+  virtual bool hosts(int /*p*/) const { return true; }
+
   /// Delivers `m` toward processor `dst` — locally for the direct backend
   /// (and for a remote backend's own rank), framed onto the peer socket
   /// otherwise.  `dst` has been validated by Machine::send.

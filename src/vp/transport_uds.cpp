@@ -116,6 +116,7 @@ class UdsTransport final : public Transport {
 
   const char* name() const override { return "uds"; }
   bool remote() const override { return true; }
+  bool hosts(int p) const override { return p == rank_; }
 
   void deliver(int dst, Message&& m) override {
     if (dst == rank_) {

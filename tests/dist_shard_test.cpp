@@ -218,8 +218,8 @@ TEST(UnevenBlocks, TwoDimUnevenGridRoundTrips) {
 
 class ShardMigrationTest : public ::testing::Test {
  protected:
-  ShardMigrationTest() : machine_(4), am_(machine_), servers_(machine_) {
-    dist::install_array_manager(servers_, am_);
+  ShardMigrationTest()
+      : machine_(4), am_(machine_), service_(machine_, am_) {
     // 16 elements in 8 shards of 2 over 4 processors: oversharded, so every
     // processor starts with two shards.
     EXPECT_EQ(am_.create_array(0, dist::ElemType::Float64, {16},
@@ -261,7 +261,7 @@ class ShardMigrationTest : public ::testing::Test {
 
   vp::Machine machine_;
   dist::ArrayManager am_;
-  vp::ServerSystem servers_;
+  dist::ArrayService service_;
   dist::ArrayId id_;
 };
 
@@ -346,7 +346,7 @@ TEST_F(ShardMigrationTest, ServerForwardsShardRequestsToTheCurrentOwner) {
   // Ask processor 1's server for shard 0, which lives on processor 2: the
   // reply names the owner and the requester re-issues there.
   vp::Payload p;
-  ASSERT_EQ(dist::read_shard_request(servers_, 1, id_, 0, p), Status::Ok);
+  ASSERT_EQ(dist::read_shard_request(service_, 0, 1, id_, 0, p), Status::Ok);
   ASSERT_EQ(p.size(), 2 * sizeof(double));
   const double* d = reinterpret_cast<const double*>(p.data());
   EXPECT_DOUBLE_EQ(d[0], 0.25);
@@ -358,7 +358,7 @@ TEST_F(ShardMigrationTest, ServerForwardsShardRequestsToTheCurrentOwner) {
   // write_shard follows the same forward pointer.
   std::vector<double> repl{-1.0, -2.0};
   ASSERT_EQ(dist::write_shard_request(
-                servers_, 3, id_, 0,
+                service_, 0, 3, id_, 0,
                 vp::Payload::copy_of(
                     std::as_bytes(std::span<const double>(repl)))),
             Status::Ok);
@@ -377,7 +377,7 @@ TEST_F(ShardMigrationTest, MigrationUnderFullDropFailsBoundedNotStalled) {
   policy.max_attempts = 3;
   policy.backoff_ms = 1;
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_EQ(dist::migrate_shard_request(servers_, 0, id_, 1, 3, policy),
+  EXPECT_EQ(dist::migrate_shard_request(service_, 0, 0, id_, 1, 3, policy),
             Status::Error);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, std::chrono::seconds(10));  // bounded, not a stall
@@ -385,7 +385,7 @@ TEST_F(ShardMigrationTest, MigrationUnderFullDropFailsBoundedNotStalled) {
 
   // Nothing moved; the shard map is intact and a clean retry completes.
   EXPECT_EQ(shard_owners(0)[1], 1);
-  EXPECT_EQ(dist::migrate_shard_request(servers_, 0, id_, 1, 3), Status::Ok);
+  EXPECT_EQ(dist::migrate_shard_request(service_, 0, 0, id_, 1, 3), Status::Ok);
   EXPECT_EQ(shard_owners(0)[1], 3);
   expect_all_elements_readable(0);
 }
@@ -404,7 +404,7 @@ TEST_F(ShardMigrationTest, MigrationUnderPartialDropEventuallyCompletes) {
   // under 50% drop a handful of rounds always lands one.
   Status status = Status::Error;
   for (int round = 0; round < 20 && status != Status::Ok; ++round) {
-    status = dist::migrate_shard_request(servers_, 0, id_, 6, 0, policy);
+    status = dist::migrate_shard_request(service_, 0, 0, id_, 6, 0, policy);
   }
   machine_.set_fault_plan(fault::Plan{});
   ASSERT_EQ(status, Status::Ok);
@@ -767,6 +767,70 @@ TEST(ParkedWaits, PinnedCallsAndReadsFinishWhileAMigrationRunsOnTheSameWorker) {
   ASSERT_EQ(am.find_info(0, a, dist::InfoKind::ShardOwners, owners),
             Status::Ok);
   EXPECT_EQ(std::get<std::vector<int>>(owners)[2], 3);
+}
+
+// Array-manager requests park their task while they wait for a reply or
+// back off.  With one steal worker (the Dist.ArrayRequestsOnOneStealWorker
+// ctest) the requester, the four server tasks and the retries share that
+// worker: a requester asks its own processor's server, follows a forward
+// pointer, then exhausts its retries under drop:1.0 within the policy's
+// bound.  A wait that blocked the worker would starve the server tasks.
+TEST(ParkedRequests, OwnForwardedAndExhaustedRequestsFinishOnOneWorker) {
+  vp::Machine machine(4);
+  dist::ArrayManager am(machine);
+  dist::ArrayId id;
+  // 16 doubles in 8 shards of 2: shard s starts on processor s % 4.
+  ASSERT_EQ(am.create_array(0, dist::ElemType::Float64, {16},
+                            util::iota_nodes(4), {dist::DimSpec::block_n(8)},
+                            dist::BorderSpec::none(),
+                            dist::Indexing::RowMajor, id),
+            Status::Ok);
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_EQ(am.write_element(0, id, std::vector<int>{i},
+                               dist::Scalar{i + 0.25}),
+              Status::Ok);
+  }
+  ASSERT_EQ(am.migrate_shard(0, id, 0, 2), Status::Ok);
+  dist::ArrayService service(machine, am);
+  dist::RetryPolicy policy;
+  policy.timeout_ms = 50;
+  policy.max_attempts = 3;
+  policy.backoff_ms = 5;
+  const auto bound = std::chrono::milliseconds(
+      3 * policy.timeout_ms + dist::retry_backoff_ms(policy, 0, 1) +
+      dist::retry_backoff_ms(policy, 0, 2));
+  Status own = Status::Error;
+  Status forwarded = Status::Error;
+  Status exhausted = Status::Ok;
+  std::vector<double> own_data(2);
+  std::vector<double> forwarded_data(2);
+  std::chrono::steady_clock::duration took{};
+  {
+    pcn::ProcessGroup group;
+    group.spawn_on(machine, 0, [&] {
+      vp::Payload p;
+      own = dist::read_shard_request(service, 0, 0, id, 4, p);
+      if (p.size() == 16) std::memcpy(own_data.data(), p.data(), 16);
+      // Processor 1's server no longer owns shard 0: it names processor 2.
+      forwarded = dist::read_shard_request(service, 0, 1, id, 0, p);
+      if (p.size() == 16) std::memcpy(forwarded_data.data(), p.data(), 16);
+      fault::Plan drop;
+      drop.drop = 1.0;
+      machine.set_fault_plan(drop);
+      const auto start = std::chrono::steady_clock::now();
+      exhausted = dist::read_shard_request(service, 0, 1, id, 1, p, policy);
+      took = std::chrono::steady_clock::now() - start;
+      machine.set_fault_plan(fault::Plan{});
+    });
+    group.join();
+  }
+  EXPECT_EQ(own, Status::Ok);
+  EXPECT_EQ(own_data, (std::vector<double>{8.25, 9.25}));
+  EXPECT_EQ(forwarded, Status::Ok);
+  EXPECT_EQ(forwarded_data, (std::vector<double>{0.25, 1.25}));
+  EXPECT_EQ(exhausted, Status::Error);
+  EXPECT_GE(took, bound);
+  EXPECT_LT(took, bound + std::chrono::seconds(2)) << "retries overran";
 }
 
 // A distributed call pins the arrays it passes as local() for as long as

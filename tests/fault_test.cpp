@@ -1,11 +1,13 @@
 // Tests for the tdp::fault layer and the hardening it exercises: plan
 // parsing, deterministic seeded injection, deadline-aware receive,
 // status-merged error propagation through distributed calls and do_all,
-// bounded retry for array-server requests, and clean teardown under load.
+// bounded retry for array-manager requests and their replies under every
+// fault kind, and clean teardown under load.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <stdexcept>
 #include <thread>
 
@@ -167,8 +169,6 @@ TEST(FaultInjector, FailedVpLosesAllTraffic) {
   inj.on_send(/*src_vp=*/1, 2, std::move(m),
               [&](vp::Message&&) { delivered = true; });
   EXPECT_FALSE(delivered);  // from the failed VP
-  EXPECT_TRUE(inj.drop_request(1));
-  EXPECT_FALSE(inj.drop_request(2));
 }
 
 TEST(FaultMachine, FullDropNeverDelivers) {
@@ -475,39 +475,39 @@ TEST(CollEnv, AlgoFromNameValidatesValues) {
 
 class FaultServerTest : public ::testing::Test {
  protected:
-  FaultServerTest() : machine_(4), am_(machine_), servers_(machine_) {
-    dist::install_array_manager(servers_, am_);
-    dist::CreateArrayRequest create;
+  FaultServerTest() : machine_(4), am_(machine_), service_(machine_, am_) {
+    dist::Request create;
+    create.kind = dist::RequestKind::CreateArray;
     create.type = dist::ElemType::Float64;
     create.dims = {8};
     create.processors = util::iota_nodes(4);
     create.distrib = {dist::DimSpec::block()};
     create.borders = dist::BorderSpec::none();
-    auto created = std::any_cast<dist::CreateArrayReply>(
-        servers_.request_wait(0, "create_array", create));
+    dist::Reply created;
+    service_.request(0, 0, create, created);
     EXPECT_EQ(created.status, Status::Ok);
     id_ = created.id;
   }
 
   vp::Machine machine_;
   dist::ArrayManager am_;
-  vp::ServerSystem servers_;
+  dist::ArrayService service_;
   dist::ArrayId id_;
 };
 
 TEST_F(FaultServerTest, SectionRoundTripWithoutFaults) {
   // 8 elements over 4 procs: shard 1 (elements 2..3) lives on processor 1.
   vp::Payload section;
-  ASSERT_EQ(dist::read_shard_request(servers_, 1, id_, 1, section),
+  ASSERT_EQ(dist::read_shard_request(service_, 0, 1, id_, 1, section),
             Status::Ok);
   ASSERT_EQ(section.size(), 2 * sizeof(double));
   std::vector<double> values{3.5, -1.25};
   ASSERT_EQ(dist::write_shard_request(
-                servers_, 1, id_, 1,
+                service_, 0, 1, id_, 1,
                 vp::Payload::copy_of(std::as_bytes(std::span<const double>(
                     values)))),
             Status::Ok);
-  ASSERT_EQ(dist::read_shard_request(servers_, 1, id_, 1, section),
+  ASSERT_EQ(dist::read_shard_request(service_, 0, 1, id_, 1, section),
             Status::Ok);
   const double* d = reinterpret_cast<const double*>(section.data());
   EXPECT_DOUBLE_EQ(d[0], 3.5);
@@ -523,10 +523,10 @@ TEST_F(FaultServerTest, RetryExhaustionUnderFullDropReportsError) {
   policy.max_attempts = 3;
   policy.backoff_ms = 1;
   vp::Payload section;
-  EXPECT_EQ(dist::read_shard_request(servers_, 1, id_, 1, section, policy),
+  EXPECT_EQ(dist::read_shard_request(service_, 0, 1, id_, 1, section, policy),
             Status::Error);
   // All three attempts were dropped in transit, none serviced.
-  EXPECT_EQ(machine_.faults()->counts().request_drops, 3u);
+  EXPECT_EQ(machine_.faults()->counts().drops, 3u);
   machine_.set_fault_plan(fault::Plan{});  // deactivate before teardown
 }
 
@@ -539,11 +539,78 @@ TEST_F(FaultServerTest, FailedProcessorLosesOnlyItsRequests) {
   policy.max_attempts = 2;
   policy.backoff_ms = 1;
   vp::Payload section;
-  EXPECT_EQ(dist::read_shard_request(servers_, 2, id_, 2, section, policy),
+  EXPECT_EQ(dist::read_shard_request(service_, 0, 2, id_, 2, section, policy),
             Status::Error);
-  EXPECT_EQ(dist::read_shard_request(servers_, 1, id_, 1, section, policy),
+  EXPECT_EQ(dist::read_shard_request(service_, 0, 1, id_, 1, section, policy),
             Status::Ok);
   machine_.set_fault_plan(fault::Plan{});
+}
+
+// Two requesters interleave writes and reads of their own shards, all
+// served by processor 2, under a plan that duplicates or reorders every
+// message.  Each read must return what the same requester's previous write
+// stored — a duplicated or late reply never answers a later request — and
+// once the run is over the requesters' service tasks have drained every
+// surplus reply from their mailboxes.
+void run_interleaved_shard_requests(const fault::Plan& plan) {
+  vp::Machine machine(4);
+  machine.set_fault_plan(plan);
+  dist::ArrayManager am(machine);
+  dist::ArrayId id;
+  // 16 doubles in 8 shards of 2; processor 2 owns shards 2 and 6.
+  ASSERT_EQ(am.create_array(0, dist::ElemType::Float64, {16},
+                            util::iota_nodes(4), {dist::DimSpec::block_n(8)},
+                            dist::BorderSpec::none(),
+                            dist::Indexing::RowMajor, id),
+            Status::Ok);
+  dist::ArrayService service(machine, am);
+  pcn::ProcessGroup group;
+  for (int r = 0; r < 2; ++r) {
+    group.spawn_on(machine, r, [&, r] {
+      const long long shard = r == 0 ? 2 : 6;
+      for (int k = 0; k < 30; ++k) {
+        const std::vector<double> mine{r * 1000.0 + k, -(r * 1000.0 + k)};
+        ASSERT_EQ(dist::write_shard_request(
+                      service, r, 2, id, shard,
+                      vp::Payload::copy_of(
+                          std::as_bytes(std::span<const double>(mine)))),
+                  Status::Ok)
+            << "requester " << r << " write " << k;
+        vp::Payload got;
+        ASSERT_EQ(dist::read_shard_request(service, r, 2, id, shard, got),
+                  Status::Ok)
+            << "requester " << r << " read " << k;
+        ASSERT_EQ(got.size(), sizeof(double) * mine.size());
+        EXPECT_EQ(std::memcmp(got.data(), mine.data(), got.size()), 0)
+            << "requester " << r << " read " << k
+            << " returned another request's answer";
+      }
+    });
+  }
+  group.join();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((machine.mailbox(0).pending() != 0 ||
+          machine.mailbox(1).pending() != 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(machine.mailbox(0).pending(), 0u);
+  EXPECT_EQ(machine.mailbox(1).pending(), 0u);
+  const fault::InjectionCounts counts = machine.faults()->counts();
+  EXPECT_GT(counts.dups + counts.reorders, 0u);
+}
+
+TEST(FaultRequests, DuplicatedMessagesAnswerEachRequestOnce) {
+  fault::Plan plan;
+  plan.dup = 1.0;
+  run_interleaved_shard_requests(plan);
+}
+
+TEST(FaultRequests, ReorderedMessagesAnswerEachRequestOnce) {
+  fault::Plan plan;
+  plan.reorder = 1.0;
+  run_interleaved_shard_requests(plan);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "dist/array_server.hpp"
 #include "gtest/gtest.h"
 #include "obs/analyze.hpp"
 #include "obs/trace.hpp"
@@ -204,6 +205,130 @@ int role_flow() {
   return got == 7 ? 0 : 51;
 }
 
+// One TaskParallel note between the ranks' main threads (comm 0).
+void send_note(vp::Machine& machine, int to, int tag, vp::Payload body = {}) {
+  vp::Message m;
+  m.tag = tag;
+  m.src = spmd::env_rank();
+  m.payload = std::move(body);
+  machine.send(to, std::move(m));
+}
+
+vp::Message await_note(vp::Machine& machine, int tag) {
+  return machine.mailbox(spmd::env_rank())
+      .receive_for(vp::MessageClass::TaskParallel, 0, tag, -1, 30000);
+}
+
+// Rank 1 owns the one shard of an array and runs its server; rank 0 reads
+// the shard, writes it and reads its write back, by shard and by element,
+// through array-manager requests that cross the socket both ways.
+int role_array() {
+  vp::Machine machine(spmd::env_size());
+  vp::ProcScope scope(spmd::env_rank());
+  dist::ArrayManager am(machine);
+  dist::ArrayService service(machine, am);
+  if (spmd::env_rank() == 1) {
+    dist::ArrayId id;
+    if (am.create_array(1, dist::ElemType::Float64, {4}, {1},
+                        {dist::DimSpec::block()}, dist::BorderSpec::none(),
+                        dist::Indexing::RowMajor, id) != Status::Ok) {
+      return 60;
+    }
+    for (int i = 0; i < 4; ++i) {
+      am.write_element(1, id, std::vector<int>{i}, dist::Scalar{i + 0.5});
+    }
+    const std::uint64_t words[] = {static_cast<std::uint64_t>(id.creator),
+                                   id.seq};
+    send_note(machine, 0, 1,
+              vp::Payload::copy_of(std::as_bytes(std::span(words))));
+    await_note(machine, 2);  // rank 0 is done
+    return 0;
+  }
+  const vp::Message ready = await_note(machine, 1);
+  std::uint64_t words[2];
+  std::memcpy(words, ready.payload.data(), sizeof(words));
+  const dist::ArrayId id{static_cast<int>(words[0]), words[1]};
+  const auto doubles = [](const vp::Payload& p) {
+    std::vector<double> v(p.size() / sizeof(double));
+    std::memcpy(v.data(), p.data(), v.size() * sizeof(double));
+    return v;
+  };
+  vp::Payload got;
+  if (dist::read_shard_request(service, 0, 1, id, 0, got) != Status::Ok ||
+      doubles(got) != std::vector<double>{0.5, 1.5, 2.5, 3.5}) {
+    return 61;
+  }
+  const std::vector<double> mine{10, 11, 12, 13};
+  if (dist::write_shard_request(
+          service, 0, 1, id, 0,
+          vp::Payload::copy_of(std::as_bytes(std::span(mine)))) !=
+          Status::Ok ||
+      dist::read_shard_request(service, 0, 1, id, 0, got) != Status::Ok ||
+      doubles(got) != mine) {
+    return 62;
+  }
+  dist::Request req;
+  req.kind = dist::RequestKind::WriteElement;
+  req.id = id;
+  req.indices = {2};
+  req.value = dist::Scalar{42.0};
+  dist::Reply reply;
+  if (service.request(0, 1, req, reply) != Status::Ok) return 63;
+  req.kind = dist::RequestKind::ReadElement;
+  if (service.request(0, 1, req, reply) != Status::Ok ||
+      std::get<double>(reply.value) != 42.0) {
+    return 64;
+  }
+  send_note(machine, 1, 2);
+  return 0;
+}
+
+// Rank 1 exits once both ranks have connected; rank 0's request to it must
+// then end in Status::Error within the RetryPolicy bound, not hang.
+int role_array_dead() {
+  vp::Machine machine(spmd::env_size());
+  vp::ProcScope scope(spmd::env_rank());
+  if (spmd::env_rank() == 1) {
+    await_note(machine, 1);
+    send_note(machine, 0, 2);
+    return 0;
+  }
+  send_note(machine, 1, 1);
+  await_note(machine, 2);
+  // Rank 1's exit closes its connection; the transport notes it.
+  const auto gone_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (machine.transport_diagnostic().empty()) {
+    if (std::chrono::steady_clock::now() > gone_by) return 70;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  dist::ArrayManager am(machine);
+  dist::ArrayService service(machine, am);
+  dist::RetryPolicy policy;
+  policy.timeout_ms = 100;
+  policy.max_attempts = 3;
+  policy.backoff_ms = 10;
+  const auto bound = std::chrono::milliseconds(
+      3 * policy.timeout_ms + dist::retry_backoff_ms(policy, 0, 1) +
+      dist::retry_backoff_ms(policy, 0, 2));
+  const auto start = std::chrono::steady_clock::now();
+  vp::Payload got;
+  const Status status =
+      dist::read_shard_request(service, 0, 1, dist::ArrayId{1, 1}, 0, got,
+                               policy);
+  const auto took = std::chrono::steady_clock::now() - start;
+  if (status != Status::Error) return 71;
+  if (took < bound || took > bound + std::chrono::seconds(2)) {
+    std::fprintf(stderr, "request to a dead rank took %lld ms\n",
+                 static_cast<long long>(
+                     std::chrono::duration_cast<std::chrono::milliseconds>(
+                         took)
+                         .count()));
+    return 72;
+  }
+  return 0;
+}
+
 int run_role(const std::string& role) {
   if (role == "ring") return role_ring();
   if (role == "coll") return role_coll();
@@ -212,6 +337,8 @@ int run_role(const std::string& role) {
   if (role == "dead") return role_dead();
   if (role == "poison") return role_poison();
   if (role == "flow") return role_flow();
+  if (role == "array") return role_array();
+  if (role == "array_dead") return role_array_dead();
   std::fprintf(stderr, "transport_test: unknown TDP_TEST_ROLE \"%s\"\n",
                role.c_str());
   return 99;
@@ -482,6 +609,22 @@ TEST(TransportUds, PeerDeathNamesTheDeadRank) {
 TEST(TransportUds, PoisonOriginSurvivesTheWire) {
   const std::vector<int> codes =
       launch("poison", 2, {{"TDP_RECV_TIMEOUT_MS", "10000"}});
+  ASSERT_EQ(codes.size(), 2u);
+  for (std::size_t r = 0; r < codes.size(); ++r) {
+    EXPECT_EQ(codes[r], 0) << "rank " << r;
+  }
+}
+
+TEST(TransportUds, ArrayRequestsReadAndWriteAShardOnAnotherRank) {
+  const std::vector<int> codes = launch("array", 2);
+  ASSERT_EQ(codes.size(), 2u);
+  for (std::size_t r = 0; r < codes.size(); ++r) {
+    EXPECT_EQ(codes[r], 0) << "rank " << r;
+  }
+}
+
+TEST(TransportUds, ArrayRequestToADeadRankEndsInError) {
+  const std::vector<int> codes = launch("array_dead", 2);
   ASSERT_EQ(codes.size(), 2u);
   for (std::size_t r = 0; r < codes.size(); ++r) {
     EXPECT_EQ(codes[r], 0) << "rank " << r;
