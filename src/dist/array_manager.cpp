@@ -17,13 +17,18 @@
 
 namespace tdp::dist {
 
+/// Arrays of up to this many dimensions keep their route geometry inline
+/// and take the lock-free element path; larger ones take the locked core.
+constexpr std::size_t kInlineDims = 4;
+
 /// What a route slot points at: one shard's storage and the affine map from
 /// a global index in the shard to its storage offset (the cell origin and
 /// the borders folded into `bias`).  Immutable once published; a migration
 /// or a border change publishes a fresh one and retires the old.
 struct ShardRoute {
-  std::shared_ptr<LocalSection> storage;
-  std::vector<long long> stride;  ///< per dimension, borders included
+  std::shared_ptr<LocalSection> storage;  ///< keeps `base` alive
+  void* base = nullptr;                   ///< storage->data()
+  long long stride[kInlineDims] = {};     ///< per dimension, borders included
   long long bias = 0;
 
   long long offset(std::span<const int> indices) const {
@@ -35,10 +40,11 @@ struct ShardRoute {
   }
 };
 
-/// One shard's entry in a route block.  Its sequence is odd while what the
-/// slot points at changes; every change happens under the owner's node
-/// lock, and a migration or border change also bumps it, so the sequence
-/// doubles as the slot's route epoch.  A freed array's slots stay odd.
+/// One shard's entry in a route block.  Its sequence is odd while a mutator
+/// copies, snapshots or replaces the shard's storage; every change happens
+/// under the owner's node lock, and a migration or border change also
+/// bumps it, so the sequence doubles as the slot's route epoch.  Element
+/// writes do not bump it.  A freed array's slots stay odd.
 struct RouteSlot {
   std::atomic<std::uint64_t> seq{0};
   std::atomic<int> owner{-1};
@@ -55,12 +61,15 @@ struct RouteBlock {
   RouteBlock& operator=(const RouteBlock&) = delete;
   ~RouteBlock();
 
-  /// The shard holding `indices`, or -1 when they are out of range.
+  /// The shard holding `indices` (fast_rank of them), or -1 when they are
+  /// out of range.
   long long shard_of(std::span<const int> indices) const {
-    if (indices.size() != dims.size()) return -1;
     long long shard = 0;
     for (std::size_t d = 0; d < indices.size(); ++d) {
-      if (indices[d] < 0 || indices[d] >= dims[d]) return -1;
+      if (static_cast<unsigned>(indices[d]) >=
+          static_cast<unsigned>(extent[d])) {
+        return -1;
+      }
       const std::uint64_t cell =
           static_cast<std::uint64_t>(indices[d]) * div_mul[d] >> div_shift[d];
       shard += static_cast<long long>(cell) * grid_stride[d];
@@ -72,15 +81,21 @@ struct RouteBlock {
   ElemType type = ElemType::Float64;
   Indexing indexing = Indexing::RowMajor;
   Indexing grid_indexing = Indexing::RowMajor;
-  std::vector<int> dims;
-  std::vector<int> local_dims;
-  std::vector<int> grid_dims;
-  std::vector<long long> grid_stride;  ///< shard rank strides of the grid
+  /// The dimension count, or a count no request has (so every request
+  /// falls back) above kInlineDims.
+  std::size_t fast_rank = 0;
+  int extent[kInlineDims] = {};             ///< global dimensions
+  long long grid_stride[kInlineDims] = {};  ///< shard rank strides
   /// Per dimension, index / local_dims[d] as (index * mul) >> shift: exact
   /// for every index below 2^31, and a multiply instead of a division.
-  std::vector<std::uint64_t> div_mul;
-  std::vector<unsigned> div_shift;
+  std::uint64_t div_mul[kInlineDims] = {};
+  unsigned div_shift[kInlineDims] = {};
+  std::vector<int> local_dims;
+  std::vector<int> grid_dims;
   long long cells = 0;
+  /// Set by the first lock-free element write: until then a mutator need
+  /// not issue the process barrier (quiesce_writers).
+  std::atomic<bool> written{false};
   std::shared_ptr<ShardStats> stats;
   /// Per processor: true while it holds a record (replica) of the array.
   std::unique_ptr<std::atomic<bool>[]> replica;
@@ -195,23 +210,30 @@ ArrayRecord replica_of(const ArrayRecord& r) {
   return out;
 }
 
-/// Charges an owner-side access of `bytes` to the shard's traffic counter
-/// and, when observability is on, to the request's span and am.bytes_moved.
-void charge(ShardStats& stats, long long shard, std::uint64_t bytes,
-            obs::Span& span) {
-  stats.add(static_cast<std::size_t>(shard), bytes);
+/// Reports an access of `bytes` on the request's span and in
+/// am.bytes_moved when observability is on.
+void note_moved(obs::Span& span, std::uint64_t bytes) {
   if (obs::enabled()) {
     span.set_arg1(bytes);
     am_bytes_moved().add(bytes);
   }
 }
 
+/// Charges an owner-side access of `bytes` to the shard's traffic tally
+/// and reports it (note_moved).
+void charge(ShardStats& stats, long long shard, std::uint64_t bytes,
+            obs::Span& span) {
+  stats.add(static_cast<std::size_t>(shard), bytes);
+  note_moved(span, bytes);
+}
+
 /// Opens and closes one change of what a route slot points at; the caller
 /// holds the node lock of the slot's owner.  Readers that see the odd
-/// sequence, or a different one when they re-check, fall back.
+/// sequence, or a different one when they re-check, fall back.  The open
+/// is seq_cst so that quiesce_writers' flag load cannot move ahead of it.
 void seq_open(RouteSlot& slot) {
   slot.seq.store(slot.seq.load(std::memory_order_relaxed) + 1,
-                 std::memory_order_relaxed);
+                 std::memory_order_seq_cst);
 }
 void seq_close(RouteSlot& slot) {
   slot.seq.store(slot.seq.load(std::memory_order_relaxed) + 1,
@@ -280,6 +302,37 @@ void process_barrier() {
     syscall(__NR_membarrier, MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED, 0, 0);
     syscall(__NR_membarrier, MEMBARRIER_CMD_PRIVATE_EXPEDITED, 0, 0);
   }
+}
+
+/// Called by a mutator that copies, snapshots or replaces shard storage
+/// of `block` after it has opened the slots concerned (DESIGN §12 "A
+/// write").  A lock-free write stores and then re-checks the sequence;
+/// after the process barrier, each one in flight has either made its store
+/// visible here or will see the odd sequence and redo itself under the
+/// lock, but a stray store may still land while the mutator copies: true
+/// then.  An array no lock-free write has reached needs no barrier and
+/// sees no stray store.  The open, this load, mark_written's store and
+/// write_fast's loads are all seq_cst: if this load misses the flag, the
+/// write that sets it sees the open and falls back without storing.
+bool quiesce_writers(const RouteBlock& block) {
+  if (!block.written.load(std::memory_order_seq_cst)) return false;
+  process_barrier();
+  return true;
+}
+
+/// Opens `slot` of `block` and quiesces its lock-free writers (with
+/// quiesce_writers' answer); the caller holds the owner's node lock and
+/// closes the slot with seq_close.
+bool quiesce_slot(const RouteBlock& block, RouteSlot& slot) {
+  seq_open(slot);
+  return quiesce_writers(block);
+}
+
+/// The first lock-free write to `block`: from here on its mutators issue
+/// the process barrier.  Out of line: a seq_cst store is a locked
+/// instruction.
+[[gnu::noinline]] void mark_written(RouteBlock& block) {
+  block.written.store(true, std::memory_order_seq_cst);
 }
 
 /// One thread's fast-path read record: its sequence is odd while the
@@ -365,6 +418,62 @@ class ReadSection {
   std::uint64_t seq_ = 0;
 };
 
+/// The calling thread's ShardStats row: kUnclaimed until its first charge,
+/// then its tally slot, or ShardStats::kSlots (the shared row) when every
+/// slot was held or once the thread is exiting.
+constexpr unsigned kUnclaimed = ~0u;
+thread_local unsigned t_tally = kUnclaimed;
+
+/// Which tally slots live threads hold.  Leaked, like ReaderRegistry.
+struct TallySlots {
+  std::mutex mutex;
+  bool held[ShardStats::kSlots] = {};
+
+  static TallySlots& instance() {
+    static TallySlots* slots = new TallySlots;
+    return *slots;
+  }
+};
+
+/// Holds the thread's tally slot until the thread exits.  The mutex orders
+/// the last charges of a slot's old holder before the first of its next.
+struct TallyClaim {
+  TallyClaim() {
+    TallySlots& ts = TallySlots::instance();
+    std::lock_guard<std::mutex> lock(ts.mutex);
+    for (unsigned i = 0; i < ShardStats::kSlots; ++i) {
+      if (!ts.held[i]) {
+        ts.held[i] = true;
+        slot = i;
+        break;
+      }
+    }
+    t_tally = slot;
+  }
+  ~TallyClaim() {
+    if (slot < ShardStats::kSlots) {
+      TallySlots& ts = TallySlots::instance();
+      std::lock_guard<std::mutex> lock(ts.mutex);
+      ts.held[slot] = false;
+    }
+    t_tally = ShardStats::kSlots;
+  }
+  TallyClaim(const TallyClaim&) = delete;
+  TallyClaim& operator=(const TallyClaim&) = delete;
+
+  unsigned slot = ShardStats::kSlots;
+};
+
+/// Claims the thread's tally slot on its first charge.
+unsigned claim_tally() {
+  thread_local TallyClaim claim;
+  return t_tally;
+}
+
+/// Tally cells per ShardStats across its private rows: arrays with more
+/// shards than fit give fewer threads a row of their own.
+constexpr std::size_t kTallyLines = 256;
+
 /// Row- or column-major strides of a shape.
 std::vector<long long> strides_of(std::span<const int> extent,
                                   Indexing ordering) {
@@ -388,14 +497,17 @@ std::unique_ptr<ShardRoute> make_route(const RouteBlock& block,
                                        const std::vector<int>& interior,
                                        const std::vector<int>& borders) {
   auto r = std::make_unique<ShardRoute>();
+  r->base = storage->data();
   r->storage = std::move(storage);
-  r->stride = strides_of(dims_plus_borders(interior, borders), block.indexing);
+  const std::vector<long long> stride =
+      strides_of(dims_plus_borders(interior, borders), block.indexing);
   const std::vector<int> pos =
       delinearize(shard, block.grid_dims, block.grid_indexing);
   for (std::size_t d = 0; d < pos.size(); ++d) {
+    if (d < kInlineDims) r->stride[d] = stride[d];
     r->bias += (borders[2 * d] -
                 static_cast<long long>(pos[d]) * block.local_dims[d]) *
-               r->stride[d];
+               stride[d];
   }
   return r;
 }
@@ -409,19 +521,23 @@ std::unique_ptr<RouteBlock> make_block(const ArrayRecord& meta,
   block->type = meta.type;
   block->indexing = meta.indexing;
   block->grid_indexing = meta.grid_indexing;
-  block->dims = meta.dims;
   block->local_dims = meta.local_dims;
   block->grid_dims = meta.grid_dims;
-  block->grid_stride = strides_of(meta.grid_dims, meta.grid_indexing);
-  for (int l : meta.local_dims) {
+  const std::size_t rank = meta.dims.size();
+  block->fast_rank = rank <= kInlineDims ? rank : ~std::size_t{0};
+  const std::vector<long long> grid_stride =
+      strides_of(meta.grid_dims, meta.grid_indexing);
+  for (std::size_t d = 0; d < std::min(rank, kInlineDims); ++d) {
+    block->extent[d] = meta.dims[d];
+    block->grid_stride[d] = grid_stride[d];
     // Granlund-Montgomery: with 2^(s-1) < l <= 2^s and m =
     // floor(2^(31+s) / l) + 1, (n * m) >> (31 + s) == n / l for all
     // n < 2^31, and n * m < 2^63.
+    const auto l = static_cast<std::uint64_t>(meta.local_dims[d]);
     unsigned shift = 0;
-    while ((1ull << shift) < static_cast<std::uint64_t>(l)) ++shift;
-    block->div_shift.push_back(31 + shift);
-    block->div_mul.push_back(
-        (1ull << (31 + shift)) / static_cast<std::uint64_t>(l) + 1);
+    while ((1ull << shift) < l) ++shift;
+    block->div_shift[d] = 31 + shift;
+    block->div_mul[d] = (1ull << (31 + shift)) / l + 1;
   }
   block->cells = meta.shards.cells;
   block->stats = meta.stats;
@@ -479,6 +595,56 @@ struct ArrayManager::RouteDir {
   std::size_t live = 0;
   std::unique_ptr<std::atomic<RouteBlock*>[]> slots;
 };
+
+ShardStats::ShardStats(std::size_t n)
+    : n_(n),
+      row_lines_((n + 7) / 8),
+      rows_(static_cast<unsigned>(
+          std::min<std::size_t>(kSlots, kTallyLines / row_lines_))),
+      lines_(std::make_unique<Line[]>((rows_ + 1) * row_lines_)),
+      base_(std::make_unique<std::atomic<std::uint64_t>[]>(n)) {}
+
+void ShardStats::add(std::size_t shard, std::uint64_t n) {
+  const unsigned row = t_tally;
+  if (row < rows_) {
+    // Only this thread stores to its row: no read-modify-write.
+    std::atomic<std::uint64_t>& c = cell(row, shard);
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+    return;
+  }
+  add_shared(shard, n);
+}
+
+// Out of line, so that the request paths that charge hold no locked
+// instruction.
+[[gnu::noinline]] void ShardStats::add_shared(std::size_t shard,
+                                              std::uint64_t n) {
+  if (t_tally == kUnclaimed && claim_tally() < rows_) {
+    add(shard, n);
+    return;
+  }
+  cell(rows_, shard).fetch_add(n, std::memory_order_relaxed);
+}
+
+std::uint64_t ShardStats::sum(std::size_t shard) const {
+  std::uint64_t total = 0;
+  for (unsigned row = 0; row <= rows_; ++row) {
+    total += cell(row, shard).load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+std::uint64_t ShardStats::read(std::size_t shard) const {
+  const std::uint64_t total = sum(shard);
+  const std::uint64_t base = base_[shard].load(std::memory_order_relaxed);
+  return total > base ? total - base : 0;
+}
+
+void ShardStats::reset() {
+  for (std::size_t s = 0; s < n_; ++s) {
+    base_[s].store(sum(s), std::memory_order_relaxed);
+  }
+}
 
 ShardMap ShardMap::initial(long long cells, const std::vector<int>& pool) {
   ShardMap m;
@@ -929,14 +1095,16 @@ template <class Locate, class Fn>
   }
 }
 
-bool ArrayManager::read_fast(int on_proc, ArrayId id,
+// Flattened, so that the route lookup and the tally charge are inlined:
+// the request is a few dependent loads and one store.
+[[gnu::flatten]] bool ArrayManager::read_fast(int on_proc, ArrayId id,
                              std::span<const int> indices, Scalar& out,
-                             obs::Span& span, Status& st) {
+                             Status& st, std::size_t& moved) {
   if (!machine_.valid_proc(on_proc)) return false;
   const ReadSection section;
   if (!section.entered()) return false;
   const RouteBlock* b = find_route(on_proc, id);
-  if (b == nullptr) return false;
+  if (b == nullptr || indices.size() != b->fast_rank) return false;
   const long long shard = b->shard_of(indices);
   if (shard < 0) {
     st = Status::Invalid;
@@ -948,61 +1116,88 @@ bool ArrayManager::read_fast(int on_proc, ArrayId id,
   const ShardRoute& r = *slot.route.load(std::memory_order_seq_cst);
   const long long off = r.offset(indices);
   const Scalar v = b->type == ElemType::Float64
-                       ? Scalar{r.storage->load_f64(off)}
-                       : Scalar{r.storage->load_i32(off)};
+                       ? Scalar{LocalSection::load_f64(r.base, off)}
+                       : Scalar{LocalSection::load_i32(r.base, off)};
   if (slot.seq.load(std::memory_order_acquire) != seq) return false;
   out = v;
-  charge(*b->stats, shard, elem_size(b->type), span);
+  moved = elem_size(b->type);
+  b->stats->add(static_cast<std::size_t>(shard), moved);
   st = Status::Ok;
   return true;
 }
 
-bool ArrayManager::write_fast(int on_proc, ArrayId id,
+[[gnu::flatten]] bool ArrayManager::write_fast(int on_proc, ArrayId id,
                               std::span<const int> indices,
-                              const Scalar& value, obs::Span& span,
-                              Status& st) {
+                              const Scalar& value, Status& st,
+                              std::size_t& moved) {
   if (!machine_.valid_proc(on_proc)) return false;
   const ReadSection section;
   if (!section.entered()) return false;
   RouteBlock* b = find_route(on_proc, id);
-  if (b == nullptr) return false;
+  if (b == nullptr || indices.size() != b->fast_rank) return false;
   const long long shard = b->shard_of(indices);
   if (shard < 0) {
     st = Status::Invalid;
     return true;
   }
-  RouteSlot& slot = b->slots[static_cast<std::size_t>(shard)];
-  const int owner = slot.owner.load(std::memory_order_relaxed);
-  if (owner < 0) return false;
-  std::lock_guard<std::mutex> lock(node(owner).mutex);
-  // Every change of this slot happens under its owner's lock, except that
-  // a migration closes its change under the destination's: an odd
-  // sequence, or an owner other than the one locked, means the route moved.
-  if ((slot.seq.load(std::memory_order_acquire) & 1) != 0 ||
-      slot.owner.load(std::memory_order_relaxed) != owner) {
-    return false;
-  }
-  const ShardRoute& r = *slot.route.load(std::memory_order_relaxed);
+  // Both loads seq_cst (plain moves on x86-64): if a mutator found the
+  // flag clear and skipped the process barrier, its open comes before the
+  // sequence load below in the seq_cst order, so this write falls back
+  // without storing.
+  if (!b->written.load(std::memory_order_seq_cst)) mark_written(*b);
+  const RouteSlot& slot = b->slots[static_cast<std::size_t>(shard)];
+  const std::uint64_t seq = slot.seq.load(std::memory_order_seq_cst);
+  if ((seq & 1) != 0) return false;
+  const ShardRoute& r = *slot.route.load(std::memory_order_seq_cst);
   const long long off = r.offset(indices);
-  seq_open(slot);
   if (b->type == ElemType::Float64) {
-    r.storage->store_f64(off, scalar_to_double(value));
+    LocalSection::store_f64(r.base, off, scalar_to_double(value));
   } else {
-    r.storage->store_i32(off, scalar_to_int(value));
+    LocalSection::store_i32(r.base, off, scalar_to_int(value));
   }
-  seq_close(slot);
-  charge(*b->stats, shard, elem_size(b->type), span);
+  // The store comes before the re-check for the compiler; a mutator's
+  // process barrier (quiesce_writers) orders the two for the hardware.  An
+  // unchanged sequence means the store landed before any mutator's
+  // barrier, so the mutator sees it; otherwise the store may have raced a
+  // copy or a snapshot, and the locked core redoes it.
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  if (slot.seq.load(std::memory_order_relaxed) != seq) return false;
+  moved = elem_size(b->type);
+  b->stats->add(static_cast<std::size_t>(shard), moved);
   st = Status::Ok;
   return true;
 }
 
 Status ArrayManager::read_element(int on_proc, ArrayId id,
                                   std::span<const int> indices, Scalar& out) {
+  if (!silent()) return read_element_full(on_proc, id, indices, out, false);
+  Status st = Status::Ok;
+  std::size_t moved = 0;
+  if (read_fast(on_proc, id, indices, out, st, moved)) return st;
+  return read_element_full(on_proc, id, indices, out, true);
+}
+
+Status ArrayManager::write_element(int on_proc, ArrayId id,
+                                   std::span<const int> indices,
+                                   const Scalar& value) {
+  if (!silent()) return write_element_full(on_proc, id, indices, value, false);
+  Status st = Status::Ok;
+  std::size_t moved = 0;
+  if (write_fast(on_proc, id, indices, value, st, moved)) return st;
+  return write_element_full(on_proc, id, indices, value, true);
+}
+
+[[gnu::noinline]] Status ArrayManager::read_element_full(
+    int on_proc, ArrayId id, std::span<const int> indices, Scalar& out,
+    bool tried_fast) {
   obs::Span span(obs::Op::AmRead, 0,
                  static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
                  &am_service_hist());
   Status st = Status::Ok;
-  if (!read_fast(on_proc, id, indices, out, span, st)) {
+  std::size_t moved = 0;
+  if (!tried_fast && read_fast(on_proc, id, indices, out, st, moved)) {
+    if (ok(st)) note_moved(span, moved);
+  } else {
     st = with_shard(
         on_proc, id, element_shard(indices),
         [&](ArrayRecord& rec, ShardSection& sec, long long shard) {
@@ -1010,9 +1205,9 @@ Status ArrayManager::read_element(int on_proc, ArrayId id,
               element_offset(indices, rec.local_dims, sec.interior,
                              rec.borders, rec.indexing);
           if (rec.type == ElemType::Float64) {
-            out = sec.storage->read_f64(off);
+            out = sec.storage->load_f64(off);
           } else {
-            out = sec.storage->read_i32(off);
+            out = sec.storage->load_i32(off);
           }
           charge(*rec.stats, shard, elem_size(rec.type), span);
           return Status::Ok;
@@ -1021,28 +1216,28 @@ Status ArrayManager::read_element(int on_proc, ArrayId id,
   return traced("read_element", on_proc, id, st);
 }
 
-Status ArrayManager::write_element(int on_proc, ArrayId id,
-                                   std::span<const int> indices,
-                                   const Scalar& value) {
+[[gnu::noinline]] Status ArrayManager::write_element_full(
+    int on_proc, ArrayId id, std::span<const int> indices,
+    const Scalar& value, bool tried_fast) {
   obs::Span span(obs::Op::AmWrite, 0,
                  static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
                  &am_service_hist());
   Status st = Status::Ok;
-  if (!write_fast(on_proc, id, indices, value, span, st)) {
+  std::size_t moved = 0;
+  if (!tried_fast && write_fast(on_proc, id, indices, value, st, moved)) {
+    if (ok(st)) note_moved(span, moved);
+  } else {
     st = with_shard(
         on_proc, id, element_shard(indices),
         [&](ArrayRecord& rec, ShardSection& sec, long long shard) {
           const long long off =
               element_offset(indices, rec.local_dims, sec.interior,
                              rec.borders, rec.indexing);
-          RouteSlot& slot = rec.route->slots[static_cast<std::size_t>(shard)];
-          seq_open(slot);
           if (rec.type == ElemType::Float64) {
             sec.storage->store_f64(off, scalar_to_double(value));
           } else {
             sec.storage->store_i32(off, scalar_to_int(value));
           }
-          seq_close(slot);
           charge(*rec.stats, shard, elem_size(rec.type), span);
           return Status::Ok;
         });
@@ -1107,21 +1302,20 @@ Status ArrayManager::find_section(int on_proc, ArrayId id,
 }
 
 Status ArrayManager::read_shard_locked(const ArrayRecord& rec,
-                                       const ShardSection& sec,
+                                       const ShardSection& sec, bool racing,
                                        vp::Payload& out) {
   const std::size_t esize = elem_size(rec.type);
   const long long count = element_count(sec.interior);
   std::vector<std::byte> staging(static_cast<std::size_t>(count) * esize);
-  const std::byte* base = static_cast<const std::byte*>(sec.storage->data());
   if (contiguous_interior(rec.borders)) {
-    std::memcpy(staging.data(), base, staging.size());
+    sec.storage->load_range(0, static_cast<std::size_t>(count),
+                            staging.data(), racing);
   } else {
     for (long long lin = 0; lin < count; ++lin) {
       std::vector<int> idx = delinearize(lin, sec.interior, rec.indexing);
-      const long long src =
-          local_offset(idx, sec.interior, rec.borders, rec.indexing);
-      std::memcpy(staging.data() + static_cast<std::size_t>(lin) * esize,
-                  base + static_cast<std::size_t>(src) * esize, esize);
+      sec.storage->load_range(
+          local_offset(idx, sec.interior, rec.borders, rec.indexing), 1,
+          staging.data() + static_cast<std::size_t>(lin) * esize, racing);
     }
   }
   // take(): the one packing copy above is the only copy this snapshot
@@ -1139,7 +1333,8 @@ Status ArrayManager::write_shard_locked(ArrayRecord& rec, ShardSection& sec,
   }
   // Element by element through atomic stores: lock-free element reads may
   // race this overwrite (and discard what they read, as the slot's
-  // sequence moves around it).
+  // sequence moves around it), and so may a lock-free write in flight at
+  // the quiesce.
   const auto store = [&](long long dst, long long lin) {
     const std::byte* src = data.data() + static_cast<std::size_t>(lin) * esize;
     if (rec.type == ElemType::Float64) {
@@ -1172,7 +1367,12 @@ Status ArrayManager::read_shard(int on_proc, ArrayId id, long long shard,
   const Status st = with_shard(
       on_proc, id, shard_in_range(shard),
       [&](ArrayRecord& rec, ShardSection& sec, long long) {
-        Status st = read_shard_locked(rec, sec, out);
+        // Opened, so that no lock-free write lands mid-snapshot: the
+        // snapshot is one state of the section.
+        RouteSlot& slot = rec.route->slots[static_cast<std::size_t>(shard)];
+        const bool racing = quiesce_slot(*rec.route, slot);
+        Status st = read_shard_locked(rec, sec, racing, out);
+        seq_close(slot);
         if (ok(st)) charge(*rec.stats, shard, out.size(), span);
         return st;
       });
@@ -1188,7 +1388,7 @@ Status ArrayManager::write_shard(int on_proc, ArrayId id, long long shard,
       on_proc, id, shard_in_range(shard),
       [&](ArrayRecord& rec, ShardSection& sec, long long) {
         RouteSlot& slot = rec.route->slots[static_cast<std::size_t>(shard)];
-        seq_open(slot);
+        quiesce_slot(*rec.route, slot);
         Status st = write_shard_locked(rec, sec, data);
         seq_close(slot);
         if (ok(st)) charge(*rec.stats, shard, data.size(), span);
@@ -1322,6 +1522,13 @@ void ArrayManager::copy_local(
   if (it == n.records.end()) return;
 
   ArrayRecord& r = it->second;
+  // Open every owned slot before the first copy, then quiesce once for
+  // all: a lock-free write that lands in a section after its copy redoes
+  // itself in the new one.
+  for (auto& [shard, sec] : r.sections) {
+    seq_open(r.route->slots[static_cast<std::size_t>(shard)]);
+  }
+  if (!r.sections.empty()) quiesce_writers(*r.route);
   for (auto& [shard, sec] : r.sections) {
     std::vector<int> new_plus = dims_plus_borders(sec.interior, new_borders);
     auto fresh = std::make_shared<LocalSection>(r.type, new_plus);
@@ -1333,13 +1540,12 @@ void ArrayManager::copy_local(
       const long long dst =
           local_offset(idx, sec.interior, new_borders, r.indexing);
       if (r.type == ElemType::Float64) {
-        fresh->write_f64(dst, sec.storage->read_f64(src));
+        fresh->write_f64(dst, sec.storage->load_f64(src));
       } else {
-        fresh->write_i32(dst, sec.storage->read_i32(src));
+        fresh->write_i32(dst, sec.storage->load_i32(src));
       }
     }
     RouteSlot& slot = r.route->slots[static_cast<std::size_t>(shard)];
-    seq_open(slot);
     retired.emplace_back(slot.route.exchange(
         make_route(*r.route, shard, fresh, sec.interior, new_borders)
             .release(),
@@ -1414,14 +1620,14 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
         // Idempotent: a faulted retry of a migration that already completed
         // finds the shard at its destination and succeeds with no work.
         if (from == to_proc) return Status::Ok;
-        // 1. Quiesce the shard at the source and borrow its storage
-        //    zero-copy: element/section traffic sees `migrating` and backs
-        //    off, which is what earns Payload::borrow's immutability
-        //    contract.
-        //    The slot's sequence stays odd until step 2 republishes it, so
-        //    lock-free requests fall back and wait too.
+        // 1. Quiesce the shard at the source: locked element and section
+        //    traffic sees `migrating` and backs off.  The slot's sequence
+        //    stays odd until step 2 republishes it, so lock-free requests
+        //    fall back and wait too, and after the barrier no lock-free
+        //    write can still be missed by the copy.
         RouteSlot& slot = meta.route->slots[static_cast<std::size_t>(shard)];
-        vp::Payload payload;
+        std::shared_ptr<LocalSection> source;
+        bool racing = false;
         std::vector<int> interior;
         std::vector<int> sec_plus;
         {
@@ -1433,13 +1639,10 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
           if (sit == it->second.sections.end()) return Status::Error;
           ShardSection& sec = sit->second;
           sec.migrating = true;
-          seq_open(slot);
+          racing = quiesce_slot(*meta.route, slot);
           interior = sec.interior;
           sec_plus = sec.dims_plus;
-          payload = vp::Payload::borrow(
-              sec.storage,
-              static_cast<const std::byte*>(sec.storage->data()),
-              sec.storage->bytes());
+          source = sec.storage;
         }
 
         // 2. Install at the destination: one counted copy of the whole
@@ -1457,12 +1660,13 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
           sec.dims_plus = sec_plus;
           sec.storage =
               std::make_shared<LocalSection>(it->second.type, sec_plus);
-          std::memcpy(sec.storage->data(), payload.data(), payload.size());
-          const ShardRoute& from_route =
-              *slot.route.load(std::memory_order_relaxed);
-          old_route.reset(slot.route.exchange(
-              new ShardRoute{sec.storage, from_route.stride, from_route.bias},
-              std::memory_order_seq_cst));
+          sec.storage->copy_from(*source, racing);
+          auto moved = std::make_unique<ShardRoute>(
+              *slot.route.load(std::memory_order_relaxed));
+          moved->storage = sec.storage;
+          moved->base = sec.storage->data();
+          old_route.reset(
+              slot.route.exchange(moved.release(), std::memory_order_seq_cst));
           slot.owner.store(to_proc, std::memory_order_relaxed);
           meta.route->replica[static_cast<std::size_t>(to_proc)].store(
               true, std::memory_order_relaxed);
@@ -1498,9 +1702,9 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
         old_route.reset();
 
         if (obs::enabled()) {
-          span.set_arg1(payload.size());
+          span.set_arg1(source->bytes());
           am_shard_migrations().add();
-          am_migrated_bytes().add(payload.size());
+          am_migrated_bytes().add(source->bytes());
         }
         return Status::Ok;
       }();

@@ -32,6 +32,7 @@
 #include <condition_variable>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -41,14 +42,11 @@
 
 #include "dist/local_section.hpp"
 #include "dist/types.hpp"
+#include "obs/trace.hpp"
 #include "sched/sched.hpp"
 #include "util/status.hpp"
 #include "vp/machine.hpp"
 #include "vp/payload.hpp"
-
-namespace tdp::obs {
-class Span;
-}  // namespace tdp::obs
 
 namespace tdp::dist {
 
@@ -76,19 +74,45 @@ struct ShardMap {
 /// Per-shard traffic counters, shared by every replica of an array's record
 /// (element and section bytes accrue at the owner-side access).  The
 /// repartitioner consumes these to propose moves.
-struct ShardStats {
-  explicit ShardStats(std::size_t n) : bytes(n) {}
-  std::vector<std::atomic<std::uint64_t>> bytes;
+///
+/// A charge costs no atomic read-modify-write: each thread holds one of
+/// kSlots process-wide tally slots, claimed on its first charge and handed
+/// back when it exits, and charges the row of its slot, which no other
+/// thread writes, with a plain load and store.  Threads beyond the slot
+/// count, and arrays with too many shards to give every slot a row, share
+/// one row charged with fetch_add.  read() sums the rows; reset() records a
+/// baseline instead of zeroing, so an owner's store in flight cannot bring
+/// back the bytes it drops.
+class ShardStats {
+ public:
+  /// Tally slots in the process.
+  static constexpr unsigned kSlots = 16;
 
-  std::uint64_t read(std::size_t shard) const {
-    return bytes[shard].load(std::memory_order_relaxed);
+  explicit ShardStats(std::size_t n);
+
+  /// Bytes charged to `shard` since the last reset().
+  std::uint64_t read(std::size_t shard) const;
+  void add(std::size_t shard, std::uint64_t n);
+  /// Starts a new traffic window.
+  void reset();
+
+ private:
+  /// One cache line of cells: rows never share a line.
+  struct alignas(64) Line {
+    std::atomic<std::uint64_t> cell[8];
+  };
+
+  void add_shared(std::size_t shard, std::uint64_t n);
+  std::atomic<std::uint64_t>& cell(unsigned row, std::size_t shard) const {
+    return lines_[row * row_lines_ + shard / 8].cell[shard % 8];
   }
-  void add(std::size_t shard, std::uint64_t n) {
-    bytes[shard].fetch_add(n, std::memory_order_relaxed);
-  }
-  void reset() {
-    for (auto& b : bytes) b.store(0, std::memory_order_relaxed);
-  }
+  std::uint64_t sum(std::size_t shard) const;
+
+  std::size_t n_;
+  std::size_t row_lines_;  ///< lines per row
+  unsigned rows_;          ///< private rows; row rows_ is the shared one
+  std::unique_ptr<Line[]> lines_;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> base_;  ///< reset baselines
 };
 
 /// One shard's storage on its owner: the cell's actual interior (the
@@ -233,9 +257,8 @@ class ArrayManager {
 
   // --- Migration and repartitioning. --------------------------------------
 
-  /// Moves shard `shard` to processor `to_proc`: quiesce the shard, ship
-  /// its storage zero-copy (vp::Payload::borrow over the quiesced section),
-  /// install it at the destination with one counted copy, flip every
+  /// Moves shard `shard` to processor `to_proc`: quiesce the shard,
+  /// install a copy of its storage at the destination, flip every
   /// replica's owner table to a new epoch, then release the source.
   /// Idempotent: migrating a shard to its current owner is Status::Ok with
   /// no work, so faulted retries are always safe.  Waits for in-flight
@@ -349,24 +372,43 @@ class ArrayManager {
   /// and waiting while a migration holds it quiesced.  `fn(ArrayRecord&,
   /// ShardSection&, long long shard)` runs under the owner node's mutex,
   /// which is the lock that guards the shard's route slot; it must not
-  /// block, and a mutation of the shard must bump the slot's sequence.
-  /// Nothing on the route allocates.
+  /// block.  A mutation that copies, snapshots or replaces the shard's
+  /// storage must open the slot and issue the process barrier first
+  /// (quiesce_slot), so that lock-free writes either land before it or
+  /// redo themselves here after it.  Nothing on the route allocates.
   template <class Locate, class Fn>
   Status with_shard(int on_proc, ArrayId id, Locate locate, Fn fn);
 
   /// The lock-free element read: routes through the array's route block
   /// and validates the shard's sequence around the load.  False when the
   /// route cannot be proven safe; the caller then runs with_shard.
-  /// Otherwise the request is done and `st` holds its status.
+  /// Otherwise the request is done, `st` holds its status and `moved` the
+  /// bytes charged.  No lock, no atomic read-modify-write, no observability.
   bool read_fast(int on_proc, ArrayId id, std::span<const int> indices,
-                 Scalar& out, obs::Span& span, Status& st);
+                 Scalar& out, Status& st, std::size_t& moved);
 
-  /// The one-lock element write: routes through the route block, locks
-  /// only the owner's node and re-validates the slot there.  False when
-  /// the route cannot be proven safe; the caller then runs with_shard.
-  /// Otherwise the request is done and `st` holds its status.
+  /// The lock-free element write: routes like read_fast, stores, and
+  /// re-checks the shard's sequence after the store.  False when the route
+  /// cannot be proven safe or the sequence moved; the caller then runs
+  /// with_shard, which redoes the write.  Otherwise as read_fast.
   bool write_fast(int on_proc, ArrayId id, std::span<const int> indices,
-                  const Scalar& value, obs::Span& span, Status& st);
+                  const Scalar& value, Status& st, std::size_t& moved);
+
+  /// read_element and write_element with everything the lean path skips:
+  /// the span and the trace record, the fast attempt unless `tried_fast`,
+  /// and the locked fallback.
+  Status read_element_full(int on_proc, ArrayId id,
+                           std::span<const int> indices, Scalar& out,
+                           bool tried_fast);
+  Status write_element_full(int on_proc, ArrayId id,
+                            std::span<const int> indices, const Scalar& value,
+                            bool tried_fast);
+
+  /// True when obs is off and no trace hook is set: element requests then
+  /// skip the span, the service histogram and traced().
+  bool silent() const {
+    return !obs::enabled() && !trace_set_.load(std::memory_order_relaxed);
+  }
 
   /// The published route block of `id`, or nullptr when there is none or
   /// `on_proc` (a valid processor) holds no record of the array.
@@ -379,8 +421,7 @@ class ArrayManager {
   std::unique_ptr<RouteBlock> unpublish_route(ArrayId id);
 
   /// Returns once every fast-path request that could still hold a pointer
-  /// unpublished before the call has finished.  Never called under a node
-  /// lock: a fast write may be waiting for one.
+  /// unpublished before the call has finished.
   static void drain_readers();
 
   /// The current route generation (bumped at every migration completion).
@@ -393,9 +434,10 @@ class ArrayManager {
       std::uint64_t seen_gen,
       std::chrono::steady_clock::time_point deadline) const;
 
-  /// The interior walk behind read_shard and write_shard.
+  /// The interior walk behind read_shard and write_shard; `racing` when
+  /// lock-free writes may still land (quiesce_writers).
   Status read_shard_locked(const ArrayRecord& rec, const ShardSection& sec,
-                           vp::Payload& out);
+                           bool racing, vp::Payload& out);
   Status write_shard_locked(ArrayRecord& rec, ShardSection& sec,
                             const vp::Payload& data);
 

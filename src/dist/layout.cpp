@@ -12,16 +12,6 @@ const char* to_string(Indexing ix) {
   return ix == Indexing::RowMajor ? "row" : "column";
 }
 
-double scalar_to_double(const Scalar& s) {
-  if (const int* i = std::get_if<int>(&s)) return static_cast<double>(*i);
-  return std::get<double>(s);
-}
-
-int scalar_to_int(const Scalar& s) {
-  if (const double* d = std::get_if<double>(&s)) return static_cast<int>(*d);
-  return std::get<int>(s);
-}
-
 Status compute_grid(const std::vector<int>& dims, int nprocs,
                     const std::vector<DimSpec>& spec,
                     std::vector<int>& grid_out) {

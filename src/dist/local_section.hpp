@@ -52,29 +52,68 @@ class LocalSection {
     return reinterpret_cast<const int*>(storage_.get());
   }
 
-  double read_f64(long long offset) const { return f64()[offset]; }
-  int read_i32(long long offset) const { return i32()[offset]; }
   void write_f64(long long offset, double v) { f64()[offset] = v; }
   void write_i32(long long offset, int v) { i32()[offset] = v; }
 
-  /// Element access shared with the array manager's lock-free readers:
-  /// whole-element loads and stores through std::atomic_ref.  A load is
-  /// acquire so that a reader's re-check of the shard's sequence cannot
-  /// move ahead of it; a store is release so that it cannot move ahead of
-  /// the writer's odd sequence.  On x86-64 both are plain moves.
-  double load_f64(long long offset) const {
-    return std::atomic_ref<double>(const_cast<double*>(f64())[offset])
+  /// Element access shared with the array manager's lock-free requests:
+  /// whole-element loads and stores through std::atomic_ref at `base`, the
+  /// section's data().  A load is acquire so that a reader's re-check of
+  /// the shard's sequence cannot move ahead of it; a store is release so
+  /// that a reader that sees it also sees what the writer stored before.
+  /// On x86-64 both are plain moves.
+  static double load_f64(const void* base, long long offset) {
+    return std::atomic_ref<double>(
+               const_cast<double*>(static_cast<const double*>(base))[offset])
         .load(std::memory_order_acquire);
   }
-  int load_i32(long long offset) const {
-    return std::atomic_ref<int>(const_cast<int*>(i32())[offset])
+  static int load_i32(const void* base, long long offset) {
+    return std::atomic_ref<int>(
+               const_cast<int*>(static_cast<const int*>(base))[offset])
         .load(std::memory_order_acquire);
   }
-  void store_f64(long long offset, double v) {
-    std::atomic_ref<double>(f64()[offset]).store(v, std::memory_order_release);
+  static void store_f64(void* base, long long offset, double v) {
+    std::atomic_ref<double>(static_cast<double*>(base)[offset])
+        .store(v, std::memory_order_release);
   }
-  void store_i32(long long offset, int v) {
-    std::atomic_ref<int>(i32()[offset]).store(v, std::memory_order_release);
+  static void store_i32(void* base, long long offset, int v) {
+    std::atomic_ref<int>(static_cast<int*>(base)[offset])
+        .store(v, std::memory_order_release);
+  }
+  double load_f64(long long offset) const { return load_f64(data(), offset); }
+  int load_i32(long long offset) const { return load_i32(data(), offset); }
+  void store_f64(long long offset, double v) { store_f64(data(), offset, v); }
+  void store_i32(long long offset, int v) { store_i32(data(), offset, v); }
+
+  /// Copies `count` elements from `offset` on to `dst`.  With `racing`, a
+  /// lock-free element write may still land meanwhile (and redoes itself
+  /// afterwards), so the copy goes element by element through relaxed
+  /// atomic loads; otherwise it is one memcpy.
+  void load_range(long long offset, std::size_t count, void* dst,
+                  bool racing) const {
+    const std::size_t esize = elem_size(type_);
+    const std::byte* from = static_cast<const std::byte*>(data()) +
+                            static_cast<std::size_t>(offset) * esize;
+    if (!racing) {
+      std::memcpy(dst, from, count * esize);
+    } else if (type_ == ElemType::Float64) {
+      double* out = static_cast<double*>(dst);
+      double* in = reinterpret_cast<double*>(const_cast<std::byte*>(from));
+      for (std::size_t i = 0; i < count; ++i) {
+        out[i] = std::atomic_ref<double>(in[i]).load(std::memory_order_relaxed);
+      }
+    } else {
+      int* out = static_cast<int*>(dst);
+      int* in = reinterpret_cast<int*>(const_cast<std::byte*>(from));
+      for (std::size_t i = 0; i < count; ++i) {
+        out[i] = std::atomic_ref<int>(in[i]).load(std::memory_order_relaxed);
+      }
+    }
+  }
+
+  /// Fills this section, not yet visible to any request, from `src` of the
+  /// same type and shape; `racing` as for load_range.
+  void copy_from(const LocalSection& src, bool racing) {
+    src.load_range(0, count_, data(), racing);
   }
 
  private:

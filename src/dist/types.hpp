@@ -91,8 +91,14 @@ struct BorderSpec {
 using Scalar = std::variant<int, double>;
 
 /// Numeric coercion helpers for Scalar.
-double scalar_to_double(const Scalar& s);
-int scalar_to_int(const Scalar& s);
+inline double scalar_to_double(const Scalar& s) {
+  if (const int* i = std::get_if<int>(&s)) return static_cast<double>(*i);
+  return std::get<double>(s);
+}
+inline int scalar_to_int(const Scalar& s) {
+  if (const double* d = std::get_if<double>(&s)) return static_cast<int>(*d);
+  return std::get<int>(s);
+}
 
 /// Queries supported by find_info (§4.2.6).  The Shard* kinds extend the
 /// thesis taxonomy for the power-of-two shard map: ShardCount is the number

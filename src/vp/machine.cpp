@@ -30,11 +30,12 @@ Machine::Machine(int nprocs) {
   }
   // The in-process delivery leg both backends share: the direct transport
   // calls it for every message, the socket transport for its own rank's
-  // traffic and for every deserialized inbound frame.
+  // traffic and for every deserialized inbound frame.  Counted before the
+  // post, so a receiver that has taken a message already sees it counted.
   transport_ = make_transport_from_env(
       nprocs, [this](int dst, Message&& m) {
-        mailboxes_[static_cast<std::size_t>(dst)]->post(std::move(m));
         count_delivery(dst);
+        mailboxes_[static_cast<std::size_t>(dst)]->post(std::move(m));
       });
   // The flusher bounds how long a reorder stash may hold a message: each
   // process runs its own injector, so without it the last message a

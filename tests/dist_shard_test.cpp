@@ -617,8 +617,8 @@ TEST(ShardRace, ReadsSeeStoredValuesInOrderAcrossMovesBorderChangesAndFree) {
   }
 }
 
-// Writes made on any processor, owner or not, take one lock (the owner's)
-// and must stay exact while the shard moves and its borders change: every
+// Writes made on any processor, owner or not, take no lock and must stay
+// exact while the shard moves and its borders change: every
 // processor writes its own element of one shard and reads it straight back
 // (a write that landed in a quiesced or retired section would read back
 // stale), and each element ends at its writer's last value.
@@ -676,6 +676,236 @@ TEST(ShardRace, WritesFromEveryProcessorSurviveMovesAndBorderChanges) {
     ASSERT_EQ(am.read_element(3, id, idx, v), Status::Ok);
     EXPECT_EQ(std::get<int>(v), last[p]) << "element " << kShard + p;
   }
+}
+
+// A section snapshot is one state of the section, although element writes
+// take no lock: read_shard opens the shard's slot and issues the process
+// barrier before it copies, so a lock-free write either lands before the
+// snapshot or redoes itself after it.  One writer stores its pass number
+// into elements 0..n-1 of shard 1, in order, pass after pass; in any one
+// state the elements read k..k, k-1..k-1, so no snapshot may show a later
+// element newer than an earlier one.
+TEST(ShardRace, SectionSnapshotsStayAtomicUnderLockFreeWrites) {
+  vp::Machine machine(4);
+  dist::ArrayManager am(machine);
+  dist::ArrayId id;
+  constexpr int kShard = 1024;
+  ASSERT_EQ(am.create_array(0, dist::ElemType::Float64, {4 * kShard},
+                            util::iota_nodes(4), {dist::DimSpec::block()},
+                            dist::BorderSpec::none(),
+                            dist::Indexing::RowMajor, id),
+            Status::Ok);
+  constexpr int kSnapshots = 400;
+  std::atomic<int> snapshots_left{2};
+  std::atomic<int> bad{0};
+  std::atomic<int> torn{0};
+  std::atomic<int> passes{0};
+  std::thread writer([&] {
+    for (int pass = 1; snapshots_left.load() > 0; ++pass) {
+      for (int i = 0; i < kShard; ++i) {
+        const int idx[1] = {kShard + i};
+        if (am.write_element(0, id, idx, dist::Scalar{double(pass)}) !=
+            Status::Ok) {
+          bad.fetch_add(1);
+        }
+      }
+      passes.store(pass);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (const int on_proc : {1, 3}) {
+    readers.emplace_back([&, on_proc] {
+      for (int n = 0; n < kSnapshots; ++n) {
+        vp::Payload p;
+        if (am.read_shard(on_proc, id, 1, p) != Status::Ok ||
+            p.size() != kShard * sizeof(double)) {
+          bad.fetch_add(1);
+          continue;
+        }
+        std::vector<double> v(kShard);
+        std::memcpy(v.data(), p.data(), p.size());
+        for (int i = 1; i < kShard; ++i) {
+          if (v[static_cast<std::size_t>(i)] >
+              v[static_cast<std::size_t>(i - 1)]) {
+            torn.fetch_add(1);
+            break;
+          }
+        }
+      }
+      snapshots_left.fetch_sub(1);
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  writer.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_GT(passes.load(), 0);
+}
+
+// No lock-free write is lost to a shard move, a section overwrite or a
+// border change, each of which copies or replaces the storage the write
+// may be landing in.  More writers than a small host has cores (so some
+// are preempted between routing and storing) run on processors 0 and 3,
+// which never own the shard, each storing increasing values into its own
+// element and reading each straight back: until the section writer has
+// finished, the read holds the value just written or the section writer's
+// marker; after, exactly the value just written.  At the end every
+// processor reads each writer's last value.
+TEST(ShardRace, NoLockFreeWriteIsLostToMovesSectionWritesOrBorderChanges) {
+  vp::Machine machine(4);
+  dist::ArrayManager am(machine);
+  dist::ArrayId id;
+  constexpr int kShard = 1 << 12;
+  ASSERT_EQ(am.create_array(0, dist::ElemType::Int32, {4 * kShard},
+                            util::iota_nodes(4), {dist::DimSpec::block()},
+                            dist::BorderSpec::none(),
+                            dist::Indexing::RowMajor, id),
+            Status::Ok);
+  // Each phase lasts until the mover and the border changer have done
+  // kRounds rounds in it, so the writes always overlap all three.
+  constexpr int kRounds = 30;
+  constexpr int kWriters = 6;
+  constexpr int kMarker = -1;
+  std::atomic<int> moves{0};
+  std::atomic<int> border_changes{0};
+  const auto rounds_since = [&](int m0, int b0) {
+    return moves.load() >= m0 + kRounds &&
+           border_changes.load() >= b0 + kRounds;
+  };
+  std::atomic<bool> sections_done{false};
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int> bad{0};
+  int last[kWriters] = {};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      const int idx[1] = {kShard + w};  // shard 1
+      const int on_proc = w % 2 == 0 ? 0 : 3;
+      int k = 0;
+      int m0 = -1;
+      int b0 = -1;
+      while (m0 < 0 || !rounds_since(m0, b0)) {
+        const bool exact = sections_done.load();
+        if (exact && m0 < 0) {
+          m0 = moves.load();
+          b0 = border_changes.load();
+        }
+        ++k;
+        dist::Scalar v;
+        if (am.write_element(on_proc, id, idx, dist::Scalar{k}) !=
+                Status::Ok ||
+            am.read_element(on_proc, id, idx, v) != Status::Ok) {
+          bad.fetch_add(1);
+          continue;
+        }
+        const int got = std::get<int>(v);
+        if (got != k && (exact || got != kMarker)) bad.fetch_add(1);
+      }
+      last[w] = k;
+      writers_left.fetch_sub(1);
+    });
+  }
+  std::thread sections([&] {
+    std::vector<int> marker(kShard, kMarker);
+    std::vector<std::byte> bytes(marker.size() * sizeof(int));
+    std::memcpy(bytes.data(), marker.data(), bytes.size());
+    const vp::Payload data = vp::Payload::take(std::move(bytes));
+    // Paced, so that the node locks it takes do not starve the mover and
+    // the border changer.
+    for (int round = 0; round < kRounds || !rounds_since(0, 0); ++round) {
+      if (am.write_shard(3, id, 1, data) != Status::Ok) bad.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    sections_done.store(true);
+  });
+  std::thread mover([&] {
+    for (int round = 0; writers_left.load() > 0; ++round) {
+      if (am.migrate_shard(3, id, 1, round % 2 == 0 ? 2 : 1) != Status::Ok) {
+        bad.fetch_add(1);
+      }
+      moves.fetch_add(1);
+    }
+  });
+  std::thread borders([&] {
+    for (int round = 0; writers_left.load() > 0; ++round) {
+      if (am.verify_array(1, id, 1, dist::BorderSpec::exact({round % 2, 1}),
+                          dist::Indexing::RowMajor) != Status::Ok) {
+        bad.fetch_add(1);
+      }
+      border_changes.fetch_add(1);
+    }
+  });
+  sections.join();
+  for (std::thread& w : writers) w.join();
+  mover.join();
+  borders.join();
+  EXPECT_EQ(bad.load(), 0);
+  for (int w = 0; w < kWriters; ++w) {
+    const int idx[1] = {kShard + w};
+    for (int p = 0; p < 4; ++p) {
+      dist::Scalar v;
+      ASSERT_EQ(am.read_element(p, id, idx, v), Status::Ok) << p;
+      EXPECT_EQ(std::get<int>(v), last[w]) << "writer " << w << " on " << p;
+    }
+  }
+}
+
+// Shard traffic is exact however many threads charge it: more threads than
+// there are tally slots, all alive at once, each read one element N times
+// (the threads without a slot share one counted row), and a second wave
+// does the same on the slots the first wave handed back.  A rebalance then
+// starts the next traffic window at 0.
+TEST(ShardRace, TrafficTalliesAreExactBeyondTheSlotCount) {
+  vp::Machine machine(4);
+  dist::ArrayManager am(machine);
+  dist::ArrayId id;
+  ASSERT_EQ(am.create_array(0, dist::ElemType::Float64, {64},
+                            util::iota_nodes(4), {dist::DimSpec::block()},
+                            dist::BorderSpec::none(),
+                            dist::Indexing::RowMajor, id),
+            Status::Ok);
+  constexpr int kThreads = static_cast<int>(dist::ShardStats::kSlots) + 4;
+  constexpr int kReads = 2000;
+  const int idx[1] = {20};  // shard 1
+  std::atomic<int> bad{0};
+  const auto wave = [&] {
+    std::atomic<int> started{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int n = 0; n < kReads; ++n) {
+          dist::Scalar v;
+          if (am.read_element(t % 4, id, idx, v) != Status::Ok) {
+            bad.fetch_add(1);
+          }
+          // Hold every thread's slot at once before the rest of the reads.
+          if (n == 0) {
+            started.fetch_add(1);
+            while (started.load() < kThreads) std::this_thread::yield();
+          }
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  };
+  const auto traffic = [&] {
+    std::uint64_t bytes = 0;
+    for (const auto& row : am.hottest_shards(16)) {
+      if (row.id == id && row.shard == 1) bytes = row.bytes;
+    }
+    return bytes;
+  };
+  wave();
+  EXPECT_EQ(traffic(), std::uint64_t{kReads} * kThreads * sizeof(double));
+  wave();
+  EXPECT_EQ(traffic(), std::uint64_t{2 * kReads} * kThreads * sizeof(double));
+  EXPECT_EQ(bad.load(), 0);
+  int moved = -1;
+  ASSERT_EQ(am.rebalance(0, id, 1.5, &moved), Status::Ok);
+  EXPECT_EQ(traffic(), 0u);
+  dist::Scalar v;
+  ASSERT_EQ(am.read_element(0, id, idx, v), Status::Ok);
+  EXPECT_EQ(traffic(), sizeof(double));
 }
 
 // ---------------------------------------------- Waits on a steal worker ----

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "pcn/process.hpp"
+#include "sched/sched.hpp"
 #include "spmd/coll.hpp"
 #include "spmd/context.hpp"
 #include "util/node_array.hpp"
@@ -112,14 +113,16 @@ TEST(CollPoison, StalledReduceLeafPoisonsThePathToTheRoot) {
   // times out on it and must poison its pending send to the root, so the
   // root fails fast blaming copy 3 rather than copy 2.  The root joins
   // late for the same reason copy 3 does in the broadcast test: its own
-  // deadline must not race the poison's arrival.
+  // deadline must not race the poison's arrival.  It waits with
+  // sched::sleep_for, which parks a task on the steal lane: a blocking
+  // sleep would hold a lone worker, and the forwarders carrying the poison
+  // could not run before the root's deadline.
   std::vector<Outcome> outcomes;
   std::vector<int> origins;
   run_with_stall(4, {3},
                  [](SpmdContext& ctx) {
                    if (ctx.index() == 0) {
-                     std::this_thread::sleep_for(
-                         std::chrono::milliseconds(250));
+                     sched::sleep_for(std::chrono::milliseconds(250));
                    }
                    double v = 1.0;
                    const std::function<double(const double&, const double&)>

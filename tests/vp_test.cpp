@@ -5,6 +5,7 @@
 #include <atomic>
 #include <thread>
 
+#include "pcn/process.hpp"
 #include "vp/machine.hpp"
 #include "vp/mailbox.hpp"
 
@@ -124,6 +125,32 @@ TEST(Machine, SendRoutesToDestinationMailbox) {
   EXPECT_EQ(m.mailbox(1).pending(), 0u);
   EXPECT_EQ(m.mailbox(2).pending(), 1u);
   EXPECT_EQ(m.messages_sent(), 1u);
+}
+
+// The delivery counters witness delivery: a message is counted before it
+// is posted, so a receiver that has taken its k-th message reads at least
+// k deliveries to its processor.  The receiver is a process, so it runs as
+// a task on the steal lane and as a thread on the thread lane.
+TEST(Machine, DeliveryCountersWitnessEveryTakenMessage) {
+  Machine m(2);
+  constexpr int kMessages = 20000;
+  int behind = 0;
+  pcn::ProcessGroup group;
+  group.spawn_on(m, 1, [&] {
+    for (int k = 1; k <= kMessages; ++k) {
+      m.mailbox(1).receive(MessageClass::TaskParallel, 0, 3, 0);
+      if (m.messages_by_vp()[1] < static_cast<std::uint64_t>(k)) ++behind;
+    }
+  });
+  std::thread sender([&] {
+    for (int k = 0; k < kMessages; ++k) {
+      m.send(1, make(MessageClass::TaskParallel, 0, 3, 0));
+    }
+  });
+  sender.join();
+  group.join();
+  EXPECT_EQ(behind, 0);
+  EXPECT_EQ(m.messages_by_vp()[1], static_cast<std::uint64_t>(kMessages));
 }
 
 TEST(Machine, SendToBadProcessorThrows) {
