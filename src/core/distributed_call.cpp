@@ -76,6 +76,64 @@ std::vector<ReduceBuffer> zero_reduces(const std::vector<Param>& params) {
   return out;
 }
 
+/// The layout pins of one call (the repartition barrier).  The combine
+/// releases them once the call's status has defined; the destructor
+/// releases whatever is still held, so no path out of a call leaves an
+/// array pinned.
+class LayoutPins {
+ public:
+  LayoutPins(dist::ArrayManager& arrays, std::vector<dist::ArrayId> ids)
+      : arrays_(arrays), ids_(std::move(ids)) {
+    for (const dist::ArrayId& id : ids_) arrays_.pin_layout(id);
+  }
+  ~LayoutPins() { release(); }
+  LayoutPins(const LayoutPins&) = delete;
+  LayoutPins& operator=(const LayoutPins&) = delete;
+
+  void release() {
+    for (const dist::ArrayId& id : ids_) arrays_.unpin_layout(id);
+    ids_.clear();
+  }
+
+ private:
+  dist::ArrayManager& arrays_;
+  std::vector<dist::ArrayId> ids_;
+};
+
+/// The combine's failure record: the first failure description in merge
+/// order, and whether a caller-supplied merge callback threw.
+struct MergeErrors {
+  std::string first;
+  bool callback_threw = false;
+
+  void note(std::string text) {
+    if (first.empty()) first = std::move(text);
+  }
+
+  /// Runs one merge callback (a status combine, or reduction `reduction`'s
+  /// combine or delivery).  A throw folds into the merge like a throwing
+  /// copy (§4.1.2): the call's status becomes kStatusError, and the error
+  /// message names the callback.
+  template <class Fn>
+  void guard(const char* what, int reduction, Fn&& fn) {
+    try {
+      fn();
+    } catch (const std::exception& e) {
+      failed(what, reduction, e.what());
+    } catch (...) {
+      failed(what, reduction, "unknown exception");
+    }
+  }
+
+ private:
+  void failed(const char* what, int reduction, const char* text) {
+    callback_threw = true;
+    std::string label = what;
+    if (reduction >= 0) label += " " + std::to_string(reduction);
+    note(label + ": " + text);
+  }
+};
+
 }  // namespace
 
 /// Builds the per-copy actual parameters, runs the program, and produces the
@@ -277,17 +335,28 @@ bool DistributedCall::validate(DataParallelProgram& program_out) const {
 
 int DistributedCall::run() {
   pcn::ProcessGroup group;
-  pcn::Def<int> status = run_async(group);
+  pcn::Def<int> status;
+  if (const pcn::Block combine = launch(group, status)) {
+    group.run_here(combine);
+  }
   group.join();
   return status.read();
 }
 
 pcn::Def<int> DistributedCall::run_async(pcn::ProcessGroup& group) {
   pcn::Def<int> status;
+  if (pcn::Block combine = launch(group, status)) {
+    group.spawn(std::move(combine));
+  }
+  return status;
+}
+
+pcn::Block DistributedCall::launch(pcn::ProcessGroup& group,
+                                   pcn::Def<int> status) {
   DataParallelProgram program;
   if (!validate(program)) {
     status.define(kStatusInvalid);
-    return status;
+    return nullptr;
   }
 
   const int n = static_cast<int>(processors_.size());
@@ -299,8 +368,8 @@ pcn::Def<int> DistributedCall::run_async(pcn::ProcessGroup& group) {
 
   // Open this call's attribution ledger under its call-root id (the comm):
   // the mailbox folds queue waits and blocked-receive time in as messages
-  // flow, the copies add execute time below, and the combine process
-  // closes the ledger (obs::CallTable::call_end) once the status defines.
+  // flow, the copies add execute time below, and the combine closes the
+  // ledger (obs::CallTable::call_end) once the status defines.
   const bool attr_on = obs::enabled();
   if (attr_on) {
     obs::CallTable::instance().call_begin(comm, obs::CallKind::Call, n);
@@ -308,8 +377,8 @@ pcn::Def<int> DistributedCall::run_async(pcn::ProcessGroup& group) {
 
   // Phase 1 of the call machinery (§3.3.2.2): marshal the argument list
   // into the shared, immutable view all copies use.  The spawned processes
-  // must not reference *this, which may be destroyed while the asynchronous
-  // call is still running.
+  // and the combine body must not reference *this, which may be destroyed
+  // while the asynchronous call is still running.
   std::shared_ptr<std::vector<Param>> shared;
   std::shared_ptr<std::vector<int>> procs;
   std::shared_ptr<std::vector<pcn::Def<WrapperResult>>> results;
@@ -333,22 +402,22 @@ pcn::Def<int> DistributedCall::run_async(pcn::ProcessGroup& group) {
 
   // Repartition barrier: hold each local() array's placement fixed for the
   // whole call, so a shard migration can never move a section out from
-  // under copies that resolved it with find_local.  Pins release in the
-  // combine process, after the call's status defines.
-  auto pinned = std::make_shared<std::vector<dist::ArrayId>>();
+  // under copies that resolved it with find_local.  The combine releases
+  // the pins after the call's status defines.
+  std::vector<dist::ArrayId> pinned;
   for (const Param& p : params_) {
     if (p.kind != Param::Kind::Local) continue;
-    if (std::find(pinned->begin(), pinned->end(), p.array) == pinned->end()) {
-      pinned->push_back(p.array);
+    if (std::find(pinned.begin(), pinned.end(), p.array) == pinned.end()) {
+      pinned.push_back(p.array);
     }
   }
-  for (const dist::ArrayId& id : *pinned) arrays_.pin_layout(id);
+  auto pins = std::make_shared<LayoutPins>(arrays_, std::move(pinned));
 
   // Causal chaining of the call's phases: one flow id per copy links the
   // caller's spawn point to that copy's execute span ("call.execute"
   // arrows fanning out), and a second links the copy's completion to the
-  // combine process's read ("call.combine" arrows fanning back in).  All
-  // of a call's spans and arrows additionally share the call-scoped comm.
+  // combine's read ("call.combine" arrows fanning back in).  All of a
+  // call's spans and arrows additionally share the call-scoped comm.
   std::shared_ptr<std::vector<std::uint64_t>> spawn_flows;
   std::shared_ptr<std::vector<std::uint64_t>> join_flows;
   if (obs::enabled()) {
@@ -394,8 +463,8 @@ pcn::Def<int> DistributedCall::run_async(pcn::ProcessGroup& group) {
             // setup, a reduction-buffer allocation, a receive timeout
             // during a collective inside run_copy's own machinery) becomes
             // a well-formed kStatusError result rather than a dead thread
-            // — the combine process below must never wait forever on an
-            // undefined slot.
+            // — the combine below must never wait forever on an undefined
+            // slot.
             result.status = kStatusError;
             result.error = e.what();
             result.reduces = zero_reduces(*shared);
@@ -409,8 +478,8 @@ pcn::Def<int> DistributedCall::run_async(pcn::ProcessGroup& group) {
             obs::CallTable::instance().add_exec(comm,
                                                 obs::now_ns() - exec_t0);
           }
-          // Flow origin before define(): the combine process may emit the
-          // matching flow end the instant the result becomes readable.
+          // Flow origin before define(): the combine may emit the matching
+          // flow end the instant the result becomes readable.
           if (join_flows) {
             obs::flow_start(obs::Op::CallCombine,
                             (*join_flows)[static_cast<std::size_t>(i)], comm);
@@ -419,21 +488,19 @@ pcn::Def<int> DistributedCall::run_async(pcn::ProcessGroup& group) {
         });
   }
 
-  // Phase 3 — the combine process (fig. 3.10): merges local statuses and
-  // reduction variables pairwise in copy order, delivers merged reductions,
-  // and only then defines the call's status.
-  StatusCombine scombine = status_combine_;
-  std::string* error_out = error_out_;
-  group.spawn([shared, results, status, scombine, comm, n, join_flows,
-               error_out, arrays, pinned] {
+  // Phase 3 — the combine (fig. 3.10): merges local statuses and reduction
+  // variables pairwise in copy order, delivers merged reductions, and only
+  // then defines the call's status.
+  return [shared, results, status, scombine = status_combine_, comm, n,
+          join_flows, error_out = error_out_, pins] {
     obs::Span comb(obs::Op::CallCombine, comm, static_cast<std::uint64_t>(n),
                    nullptr);
+    MergeErrors errors;
     WrapperResult merged = (*results)[0].read();
     if (join_flows) {
       obs::flow_end(obs::Op::CallCombine, (*join_flows)[0], comm);
     }
-    std::string first_error;
-    if (!merged.error.empty()) first_error = "copy 0: " + merged.error;
+    if (!merged.error.empty()) errors.note("copy 0: " + merged.error);
     for (int i = 1; i < n; ++i) {
       const WrapperResult& next =
           (*results)[static_cast<std::size_t>(i)].read();
@@ -441,17 +508,21 @@ pcn::Def<int> DistributedCall::run_async(pcn::ProcessGroup& group) {
         obs::flow_end(obs::Op::CallCombine,
                       (*join_flows)[static_cast<std::size_t>(i)], comm);
       }
-      merged.status = scombine(merged.status, next.status);
-      if (first_error.empty() && !next.error.empty()) {
-        first_error = "copy " + std::to_string(i) + ": " + next.error;
+      if (!next.error.empty()) {
+        errors.note("copy " + std::to_string(i) + ": " + next.error);
       }
+      errors.guard("status combine", -1, [&] {
+        merged.status = scombine(merged.status, next.status);
+      });
       std::size_t r = 0;
       for (const Param& p : *shared) {
         if (p.kind != Param::Kind::Reduce) continue;
         if (r >= merged.reduces.size() || r >= next.reduces.size()) break;
-        ReduceBuffer out = ReduceBuffer::make(p.reduce_type, p.reduce_len);
-        p.reduce_combine(merged.reduces[r], next.reduces[r], out);
-        merged.reduces[r] = std::move(out);
+        errors.guard("reduce combine", static_cast<int>(r), [&] {
+          ReduceBuffer out = ReduceBuffer::make(p.reduce_type, p.reduce_len);
+          p.reduce_combine(merged.reduces[r], next.reduces[r], out);
+          merged.reduces[r] = std::move(out);
+        });
         ++r;
       }
     }
@@ -459,22 +530,25 @@ pcn::Def<int> DistributedCall::run_async(pcn::ProcessGroup& group) {
     for (const Param& p : *shared) {
       if (p.kind != Param::Kind::Reduce) continue;
       if (r >= merged.reduces.size()) break;
-      if (p.reduce_deliver) p.reduce_deliver(merged.reduces[r]);
+      if (p.reduce_deliver) {
+        errors.guard("reduce delivery", static_cast<int>(r),
+                     [&] { p.reduce_deliver(merged.reduces[r]); });
+      }
       ++r;
     }
+    if (errors.callback_threw) merged.status = kStatusError;
     // Deliver the failure description before the status becomes readable —
     // the same ordering discipline as reductions (§3.3.1: all outputs are
     // valid once the call's status is defined).
-    if (error_out != nullptr) *error_out = std::move(first_error);
+    if (error_out != nullptr) *error_out = std::move(errors.first);
     status.define(merged.status);
     // Close the combine span before the ledger: the exemplar capture
     // inside call_end snapshots the ring, and the combine span must be in
     // it — an open span has emitted nothing yet.
     comb.finish();
     if (obs::enabled()) obs::CallTable::instance().call_end(comm);
-    for (const dist::ArrayId& id : *pinned) arrays->unpin_layout(id);
-  });
-  return status;
+    pins->release();
+  };
 }
 
 }  // namespace tdp::core

@@ -97,16 +97,29 @@ class DistributedCall {
   /// a vp::ReceiveTimeout from a lost message under a receive deadline —
   /// does not terminate the process: its local status becomes kStatusError
   /// and folds into the §4.1.2 merge like any other failure code, with the
-  /// exception text available via error_message().
+  /// exception text available via error_message().  A status combine or
+  /// reduction combine that throws folds in the same way, and the error
+  /// message then names the callback.  The merge runs in the calling
+  /// process, which would otherwise only wait for it.
   int run();
 
   /// Asynchronous form; the returned definitional status is defined only on
   /// completion of all copies.  The caller keeps `group` alive until then.
+  /// Unlike run(), which merges in the calling process, this spawns a
+  /// combine process into `group` as well.
   pcn::Def<int> run_async(pcn::ProcessGroup& group);
 
  private:
   /// Validates preconditions of §4.3.1 that are checkable before spawning.
   bool validate(DataParallelProgram& program_out) const;
+
+  /// Everything run() and run_async() share: validates, marshals, pins the
+  /// local() arrays and spawns the n copies into `group`.  Returns the
+  /// combine body (fig. 3.10), which merges the copies' results, defines
+  /// `status` and then releases the pins; run() calls it on the calling
+  /// thread, run_async() spawns it.  An invalid call defines `status` as
+  /// STATUS_INVALID and returns an empty body.
+  pcn::Block launch(pcn::ProcessGroup& group, pcn::Def<int> status);
 
   vp::Machine& machine_;
   dist::ArrayManager& arrays_;

@@ -10,28 +10,19 @@
 
 namespace tdp::core {
 
-int do_all(vp::Machine& machine, const std::vector<int>& processors,
-           const DoAllBody& body, const DoAllCombine& combine) {
-  // The copies execute on whatever lane pcn::ProcessGroup spawns onto:
-  // under TDP_SCHED=steal a do_all over thousands of processors costs
-  // thousands of fiber records on a fixed worker pool, not thousands of
-  // OS threads.
-  pcn::ProcessGroup group;
-  pcn::Def<int> status =
-      do_all_async(machine, processors, body, combine, group);
-  group.join();
-  return status.read();
-}
+namespace {
 
-pcn::Def<int> do_all_async(vp::Machine& machine,
-                           const std::vector<int>& processors,
-                           const DoAllBody& body, const DoAllCombine& combine,
-                           pcn::ProcessGroup& group) {
+/// Everything do_all and do_all_async share: spawns the copies into
+/// `group` and returns the merge body, which combines their local statuses
+/// in index order and defines `status`.  An empty group defines `status`
+/// as 0 and returns an empty body.
+pcn::Block launch(vp::Machine& machine, const std::vector<int>& processors,
+                  const DoAllBody& body, const DoAllCombine& combine,
+                  pcn::ProcessGroup& group, pcn::Def<int> status) {
   const int n = static_cast<int>(processors.size());
-  pcn::Def<int> status;
   if (n == 0) {
     status.define(0);
-    return status;
+    return nullptr;
   }
 
   static obs::ShardedCounter& copies =
@@ -119,24 +110,61 @@ pcn::Def<int> do_all_async(vp::Machine& machine,
                    });
   }
 
-  // The merge process suspends on each local status in turn and combines
-  // them pairwise; the result defines `status` only after every copy has
-  // terminated (§4.3.1 postcondition).
-  group.spawn([locals, combine, status, n, call_id, join_flows] {
+  // The merge suspends on each local status in turn and combines them
+  // pairwise; the result defines `status` only after every copy has
+  // terminated (§4.3.1 postcondition).  A combine that throws folds into
+  // kStatusError, as a throwing copy does.
+  return [locals, combine, status, n, call_id, join_flows] {
     int merged = (*locals)[0].read();
     if (join_flows) {
       obs::flow_end(obs::Op::DoAllCopy, (*join_flows)[0], call_id);
     }
+    bool combine_threw = false;
     for (int i = 1; i < n; ++i) {
-      merged = combine(merged, (*locals)[static_cast<std::size_t>(i)].read());
+      const int local = (*locals)[static_cast<std::size_t>(i)].read();
       if (join_flows) {
         obs::flow_end(obs::Op::DoAllCopy,
                       (*join_flows)[static_cast<std::size_t>(i)], call_id);
       }
+      try {
+        merged = combine(merged, local);
+      } catch (...) {
+        combine_threw = true;
+      }
     }
-    status.define(merged);
+    status.define(combine_threw ? kStatusError : merged);
     if (call_id != 0) obs::CallTable::instance().call_end(call_id);
-  });
+  };
+}
+
+}  // namespace
+
+int do_all(vp::Machine& machine, const std::vector<int>& processors,
+           const DoAllBody& body, const DoAllCombine& combine) {
+  // The copies execute on whatever lane pcn::ProcessGroup spawns onto:
+  // under TDP_SCHED=steal a do_all over thousands of processors costs
+  // thousands of fiber records on a fixed worker pool, not thousands of
+  // OS threads.  The merge runs in the calling process, which would
+  // otherwise only wait for it.
+  pcn::ProcessGroup group;
+  pcn::Def<int> status;
+  if (const pcn::Block merge =
+          launch(machine, processors, body, combine, group, status)) {
+    group.run_here(merge);
+  }
+  group.join();
+  return status.read();
+}
+
+pcn::Def<int> do_all_async(vp::Machine& machine,
+                           const std::vector<int>& processors,
+                           const DoAllBody& body, const DoAllCombine& combine,
+                           pcn::ProcessGroup& group) {
+  pcn::Def<int> status;
+  if (pcn::Block merge =
+          launch(machine, processors, body, combine, group, status)) {
+    group.spawn(std::move(merge));
+  }
   return status;
 }
 

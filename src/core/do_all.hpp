@@ -25,13 +25,15 @@ using DoAllCombine = std::function<int(int, int)>;
 
 /// Runs `body` once per entry of `processors`, each copy placed on its
 /// processor, waits for all copies, and returns the pairwise combination of
-/// their local statuses (in index order).  An empty group yields 0.
+/// their local statuses (in index order).  An empty group yields 0.  A
+/// combine that throws makes the result kStatusError.  The merge runs in
+/// the calling process.
 int do_all(vp::Machine& machine, const std::vector<int>& processors,
            const DoAllBody& body, const DoAllCombine& combine);
 
-/// Asynchronous form: spawns the copies into `group` and returns a
-/// definitional status that becomes defined when every copy has terminated
-/// (§4.1.2: callers can use it for synchronisation).
+/// Asynchronous form: spawns the copies and a merge process into `group`
+/// and returns a definitional status that becomes defined when every copy
+/// has terminated (§4.1.2: callers can use it for synchronisation).
 pcn::Def<int> do_all_async(vp::Machine& machine,
                            const std::vector<int>& processors,
                            const DoAllBody& body, const DoAllCombine& combine,

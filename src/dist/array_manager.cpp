@@ -1031,6 +1031,37 @@ bool ArrayManager::wait_route_change(
   });
 }
 
+class ArrayManager::MoverTicket {
+ public:
+  explicit MoverTicket(ArrayManager& am) : am_(am) {
+    am_.movers_queued_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  ~MoverTicket() {
+    {
+      std::lock_guard<std::mutex> lock(am_.route_mutex_);
+      am_.movers_done_.fetch_add(1, std::memory_order_release);
+      ready_all(am_.route_waiters_);
+    }
+    am_.route_cv_.notify_all();
+  }
+  MoverTicket(const MoverTicket&) = delete;
+  MoverTicket& operator=(const MoverTicket&) = delete;
+
+ private:
+  ArrayManager& am_;
+};
+
+void ArrayManager::yield_to_movers() const {
+  const std::uint64_t queued = movers_queued_.load(std::memory_order_acquire);
+  const auto served = [&] {
+    return movers_done_.load(std::memory_order_acquire) >= queued;
+  };
+  if (served()) return;
+  std::unique_lock<std::mutex> lock(route_mutex_);
+  wait_for(lock, route_cv_, route_waiters_,
+           std::chrono::steady_clock::time_point::max(), served);
+}
+
 // Out of line, so that read_element and write_element stay small on the
 // lock-free path (about 3 ns a request on fig3_9's reads).
 template <class Locate, class Fn>
@@ -1364,6 +1395,7 @@ Status ArrayManager::read_shard(int on_proc, ArrayId id, long long shard,
                  static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
                  &am_service_hist());
   out = vp::Payload();
+  yield_to_movers();
   const Status st = with_shard(
       on_proc, id, shard_in_range(shard),
       [&](ArrayRecord& rec, ShardSection& sec, long long) {
@@ -1384,6 +1416,7 @@ Status ArrayManager::write_shard(int on_proc, ArrayId id, long long shard,
   obs::Span span(obs::Op::AmWriteSection, 0,
                  static_cast<std::uint64_t>(static_cast<unsigned>(on_proc)),
                  &am_service_hist());
+  yield_to_movers();
   const Status st = with_shard(
       on_proc, id, shard_in_range(shard),
       [&](ArrayRecord& rec, ShardSection& sec, long long) {
@@ -1502,6 +1535,7 @@ Status ArrayManager::verify_array(int on_proc, ArrayId id, int n_dims,
       // may ship a section with the old borders meanwhile.
       std::vector<std::unique_ptr<ShardRoute>> retired;
       {
+        const MoverTicket ticket(*this);
         std::lock_guard<std::mutex> mig(migrate_mutex_);
         for (int p = 0; p < machine_.nprocs(); ++p) {
           copy_local(p, id, want, retired);
@@ -1604,7 +1638,10 @@ Status ArrayManager::migrate_shard(int on_proc, ArrayId id, long long shard,
       }
       const Status mst = [&]() -> Status {
         // Serialise migrations so owner-table epochs are totally ordered
-        // and any replica's table is current between migrations.
+        // and any replica's table is current between migrations.  The
+        // ticket is taken past the pin barrier: a section request from a
+        // pinned call must never wait on a migration that waits on it.
+        const MoverTicket ticket(*this);
         std::lock_guard<std::mutex> mig(migrate_mutex_);
 
         ArrayRecord meta;

@@ -490,6 +490,20 @@ class ArrayManager {
   mutable std::condition_variable route_cv_;
   mutable std::vector<sched::TaskRef> route_waiters_;  ///< parked tasks
   std::atomic<std::uint64_t> route_gen_{0};
+
+  /// Mover hand-off.  Node mutexes have no hand-off of their own, so
+  /// back-to-back section requests on one shard would starve a migration
+  /// or a border change, which need the same owner's lock.  A mover
+  /// (migrate_shard past its pin barrier, verify_array changing borders)
+  /// holds a MoverTicket while it queues for and holds migrate_mutex_ and
+  /// the node locks; a section request first waits until as many movers
+  /// have finished as were queued when it arrived (yield_to_movers).
+  /// Movers that queue later never hold it up, so neither side's wait is
+  /// unbounded.  Finishing movers signal through route_mutex_/route_cv_.
+  class MoverTicket;
+  void yield_to_movers() const;
+  std::atomic<std::uint64_t> movers_queued_{0};
+  std::atomic<std::uint64_t> movers_done_{0};
 };
 
 }  // namespace tdp::dist

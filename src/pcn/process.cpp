@@ -18,6 +18,8 @@ void ProcessGroup::run_guarded(const Block& body) noexcept {
   }
 }
 
+void ProcessGroup::run_here(const Block& body) { run_guarded(body); }
+
 void ProcessGroup::spawn(Block body) {
   if (sched::sched_mode() == sched::SchedMode::Steal) {
     spawn_task(-1, std::move(body));
@@ -109,8 +111,17 @@ std::size_t ProcessGroup::spawned() const {
 }
 
 void par(std::vector<Block> blocks) {
+  if (blocks.empty()) return;
+  // The caller runs the last block itself when it waits as cheaply as a
+  // spawned block would: on the thread lane, or as a steal-lane task.  A
+  // plain thread on the steal lane would turn each of the block's waits
+  // into an OS sleep where a task parks, so there every block is spawned.
+  const bool inline_last = sched::sched_mode() == sched::SchedMode::Thread ||
+                           sched::on_worker_fiber();
+  const std::size_t spawned = blocks.size() - (inline_last ? 1 : 0);
   ProcessGroup group;
-  for (auto& b : blocks) group.spawn(std::move(b));
+  for (std::size_t i = 0; i < spawned; ++i) group.spawn(std::move(blocks[i]));
+  if (inline_last) group.run_here(blocks.back());
   group.join();
 }
 

@@ -8,7 +8,8 @@
 //
 // We reproduce those constructs as library combinators:
 //
-//   par(f, g, h);                  // parallel composition, fork/join
+//   par(f, g, h);                  // parallel composition, fork/join;
+//                                  // h runs in the caller (see par)
 //   seq(f, g, h);                  // sequential composition
 //   choose({{guard, body}, ...});  // choice composition (first true guard)
 //   ProcessGroup pg;
@@ -69,6 +70,14 @@ class ProcessGroup {
   /// sees vp::current_proc() == proc.
   void spawn_on(vp::Machine& machine, int proc, Block body);
 
+  /// Runs `body` on the calling thread (or fiber) under the same policy as
+  /// a spawned body: vp::MailboxClosed ends it cleanly, and any other
+  /// exception is recorded first-wins and rethrown by join().  It is not a
+  /// process of the group and does not count in spawned().  A composition
+  /// that is about to wait for the group runs its last statement here
+  /// instead of creating a process for it.
+  void run_here(const Block& body);
+
   /// Waits for every spawned process to terminate, then rethrows the first
   /// exception any of them threw (if any).  The destructor joins WITHOUT
   /// rethrowing; call join() explicitly to observe failures.
@@ -99,7 +108,14 @@ class ProcessGroup {
 };
 
 /// Parallel composition: runs every block concurrently and waits for all to
-/// terminate before returning.
+/// terminate before returning.  Blocks 0..n-2 are spawned; the last block
+/// runs in the caller, which would otherwise only wait, unless the caller
+/// is a plain thread on the steal lane (whose waits would be OS sleeps
+/// where a task's are parks): then it is spawned too.  An inline block
+/// keeps the caller's placement (vp::current_proc()), PCN's rule for an
+/// unannotated process, while spawned blocks start unplaced, as
+/// ProcessGroup::spawn does.  An exception from any block, an inline one
+/// included, surfaces only after every block has ended.
 void par(std::vector<Block> blocks);
 
 template <typename... Fs>

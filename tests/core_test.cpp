@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
 
 #include "core/do_all.hpp"
 #include "core/runtime.hpp"
 #include "obs/metrics.hpp"
+#include "pcn/process.hpp"
+#include "sched/sched.hpp"
 #include "util/node_array.hpp"
 #include "vp/payload.hpp"
 
@@ -483,6 +487,242 @@ TEST(RuntimeWiring, ForeignBordersResolveThroughRegistry) {
   ASSERT_EQ(rt.arrays().find_info(0, id, dist::InfoKind::Borders, v),
             Status::Ok);
   EXPECT_EQ(std::get<std::vector<int>>(v), (std::vector<int>{2, 2}));
+}
+
+// ------------------------------------------- Synchronous compositions ----
+//
+// run() and do_all() merge in the calling process and par() runs its last
+// block there: the caller would otherwise only wait.  The Core.
+// SyncCompositionsOnOneStealWorker ctest runs this suite on one steal
+// worker.
+
+// Forces the steal lane for one test; restores the environment's choice.
+struct StealLane {
+  StealLane() { sched::force_sched_mode(sched::SchedMode::Steal); }
+  ~StealLane() { sched::unforce_sched_mode(); }
+  StealLane(const StealLane&) = delete;
+  StealLane& operator=(const StealLane&) = delete;
+};
+
+std::uint64_t tasks_spawned() { return sched::stats().spawned; }
+
+TEST(SyncCompositions, RunSpawnsOnlyTheCopies) {
+  StealLane lane;
+  Runtime rt(4);
+  rt.programs().add("noop", [](spmd::SpmdContext&, CallArgs&) {});
+  const std::uint64_t before = tasks_spawned();
+  ASSERT_EQ(rt.call(util::iota_nodes(4), "noop").run(), kStatusOk);
+  EXPECT_EQ(tasks_spawned() - before, 4u);
+  // The asynchronous form still spawns a combine process.
+  const std::uint64_t async_before = tasks_spawned();
+  pcn::ProcessGroup group;
+  pcn::Def<int> status = rt.call(util::iota_nodes(4), "noop").run_async(group);
+  group.join();
+  EXPECT_EQ(status.read(), kStatusOk);
+  EXPECT_EQ(tasks_spawned() - async_before, 5u);
+}
+
+TEST(SyncCompositions, DoAllSpawnsOnlyTheCopies) {
+  StealLane lane;
+  vp::Machine machine(3);
+  const std::uint64_t before = tasks_spawned();
+  EXPECT_EQ(do_all(machine, util::iota_nodes(3), [](int i) { return i; },
+                   status_combine_max),
+            2);
+  EXPECT_EQ(tasks_spawned() - before, 3u);
+  const std::uint64_t async_before = tasks_spawned();
+  pcn::ProcessGroup group;
+  pcn::Def<int> status =
+      do_all_async(machine, util::iota_nodes(3), [](int i) { return i; },
+                   status_combine_max, group);
+  group.join();
+  EXPECT_EQ(status.read(), 2);
+  EXPECT_EQ(tasks_spawned() - async_before, 4u);
+}
+
+TEST(SyncCompositions, RunMergesOnTheCallingThreadInCopyOrder) {
+  Runtime rt(4);
+  rt.programs().add("rank", [](spmd::SpmdContext& ctx, CallArgs& args) {
+    args.status(0) = ctx.index() + 1;
+    args.reduce_f64(1)[0] = ctx.index() + 1;
+  });
+  std::vector<std::pair<int, int>> status_merges;
+  std::set<std::thread::id> merge_threads;
+  std::vector<double> digits;
+  const int status =
+      rt.call(util::iota_nodes(4), "rank")
+          .status([&](int a, int b) {
+            status_merges.push_back({a, b});
+            merge_threads.insert(std::this_thread::get_id());
+            return a + b;
+          })
+          // Not commutative: the result spells out the merge order.
+          .reduce_f64(1,
+                      [&](std::span<const double> a,
+                          std::span<const double> b, std::span<double> out) {
+                        merge_threads.insert(std::this_thread::get_id());
+                        out[0] = a[0] * 10 + b[0];
+                      },
+                      &digits)
+          .run();
+  EXPECT_EQ(status, 10);
+  EXPECT_EQ(status_merges, (std::vector<std::pair<int, int>>{
+                               {1, 2}, {3, 3}, {6, 4}}));
+  EXPECT_EQ(digits, (std::vector<double>{1234.0}));
+  EXPECT_EQ(merge_threads, (std::set<std::thread::id>{
+                               std::this_thread::get_id()}));
+}
+
+TEST(SyncCompositions, DoAllMergesOnTheCallingThread) {
+  vp::Machine machine(4);
+  std::set<std::thread::id> merge_threads;
+  std::set<std::thread::id> copy_threads;
+  std::mutex mu;
+  const int status = do_all(
+      machine, util::iota_nodes(4),
+      [&](int index) {
+        std::lock_guard<std::mutex> lock(mu);
+        copy_threads.insert(std::this_thread::get_id());
+        return index;
+      },
+      [&](int a, int b) {
+        merge_threads.insert(std::this_thread::get_id());
+        return a * 10 + b;
+      });
+  EXPECT_EQ(status, 123);
+  EXPECT_EQ(merge_threads, (std::set<std::thread::id>{
+                               std::this_thread::get_id()}));
+  EXPECT_FALSE(copy_threads.contains(std::this_thread::get_id()));
+}
+
+TEST(SyncCompositions, NestedParRunAndDoAllFinishFromAFiber) {
+  StealLane lane;
+  Runtime rt(4);
+  // The copies meet in an allreduce, so each must park while it waits for
+  // the others, and so must every inline merge and par block above them.
+  rt.programs().add("sum_index", [](spmd::SpmdContext& ctx, CallArgs& args) {
+    args.reduce_f64(0)[0] = ctx.allreduce_sum(ctx.index());
+  });
+  const auto call = [&](std::vector<int> procs, std::vector<double>* out) {
+    return rt.call(std::move(procs), "sum_index")
+        .reduce_f64(1, f64_max(), out)
+        .run();
+  };
+  std::vector<double> left;
+  std::vector<double> right;
+  std::atomic<int> do_all_status{-1};
+  std::atomic<int> outer_status{-1};
+  pcn::ProcessGroup group;
+  group.spawn([&] {
+    pcn::par(
+        [&] {
+          pcn::par([&] { outer_status = call({0, 1}, &left); },
+                   [&] {
+                     do_all_status = do_all(
+                         rt.machine(), util::iota_nodes(4),
+                         [](int i) { return i; }, status_combine_max);
+                   });
+        },
+        [&] { EXPECT_EQ(call({2, 3}, &right), kStatusOk); });
+  });
+  group.join();
+  EXPECT_EQ(outer_status.load(), kStatusOk);
+  EXPECT_EQ(do_all_status.load(), 3);
+  EXPECT_EQ(left, (std::vector<double>{1.0}));   // 0 + 1, on every copy
+  EXPECT_EQ(right, (std::vector<double>{1.0}));
+}
+
+// ------------------------------------------------- Merge callbacks ----
+//
+// A status combine or reduction combine that throws folds into
+// kStatusError like a throwing copy (§4.1.2): the status always defines,
+// the error message names the callback, and the call's layout pins are
+// released, so the array can migrate at once afterwards.
+
+class CombineFailure : public ::testing::Test {
+ protected:
+  CombineFailure() : rt_(4) {
+    EXPECT_EQ(rt_.arrays().create_array(
+                  0, dist::ElemType::Float64, {8}, util::iota_nodes(2),
+                  {dist::DimSpec::block()}, dist::BorderSpec::none(),
+                  dist::Indexing::RowMajor, a_),
+              Status::Ok);
+    rt_.programs().add("touch", [](spmd::SpmdContext& ctx, CallArgs& args) {
+      args.status(1) = ctx.index();
+      args.reduce_f64(2)[0] = 1.0;
+    });
+  }
+
+  DistributedCall call(StatusCombine status, F64Combine reduce,
+                       std::string* error) {
+    return rt_.call(util::iota_nodes(2), "touch")
+        .local(a_)
+        .status(std::move(status))
+        .reduce_f64(1, std::move(reduce), &total_)
+        .error_message(error);
+  }
+
+  // A pin left behind would hold migrate_shard for the 2 s pin-drain
+  // timeout and then fail it.
+  void expect_unpinned() {
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(rt_.arrays().migrate_shard(0, a_, 0, 3), Status::Ok);
+    EXPECT_EQ(rt_.arrays().migrate_shard(0, a_, 0, 0), Status::Ok);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  }
+
+  // Runs the call synchronously and asynchronously; both must end in
+  // kStatusError with an error naming `label`.
+  void expect_folded(const StatusCombine& status, const F64Combine& reduce,
+                     const std::string& label) {
+    std::string error;
+    EXPECT_EQ(call(status, reduce, &error).run(), kStatusError);
+    EXPECT_EQ(error.rfind(label + ": boom", 0), 0u) << error;
+    expect_unpinned();
+
+    std::string async_error;
+    pcn::ProcessGroup group;
+    pcn::Def<int> defined = call(status, reduce, &async_error).run_async(group);
+    group.join();
+    const int* got = defined.read_for(std::chrono::seconds(0));
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(*got, kStatusError);
+    EXPECT_EQ(async_error.rfind(label + ": boom", 0), 0u) << async_error;
+    expect_unpinned();
+  }
+
+  Runtime rt_;
+  dist::ArrayId a_;
+  std::vector<double> total_;
+};
+
+TEST_F(CombineFailure, ThrowingStatusCombineFoldsIntoErrorStatus) {
+  expect_folded([](int, int) -> int { throw std::runtime_error("boom"); },
+                f64_sum(), "status combine");
+}
+
+TEST_F(CombineFailure, ThrowingReduceCombineFoldsIntoErrorStatus) {
+  expect_folded(status_combine_max,
+                [](std::span<const double>, std::span<const double>,
+                   std::span<double>) { throw std::runtime_error("boom"); },
+                "reduce combine 0");
+}
+
+TEST_F(CombineFailure, ThrowingDoAllCombineFoldsIntoErrorStatus) {
+  const DoAllCombine boom = [](int, int) -> int {
+    throw std::runtime_error("boom");
+  };
+  EXPECT_EQ(do_all(rt_.machine(), util::iota_nodes(3),
+                   [](int) { return kStatusOk; }, boom),
+            kStatusError);
+  pcn::ProcessGroup group;
+  pcn::Def<int> defined = do_all_async(rt_.machine(), util::iota_nodes(3),
+                                       [](int) { return kStatusOk; }, boom,
+                                       group);
+  group.join();
+  const int* got = defined.read_for(std::chrono::seconds(0));
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(*got, kStatusError);
 }
 
 }  // namespace

@@ -810,11 +810,10 @@ TEST(ShardRace, NoLockFreeWriteIsLostToMovesSectionWritesOrBorderChanges) {
     std::vector<std::byte> bytes(marker.size() * sizeof(int));
     std::memcpy(bytes.data(), marker.data(), bytes.size());
     const vp::Payload data = vp::Payload::take(std::move(bytes));
-    // Paced, so that the node locks it takes do not starve the mover and
-    // the border changer.
+    // Back to back: a section request yields to a waiting mover, so the
+    // node locks it takes cannot starve the mover and the border changer.
     for (int round = 0; round < kRounds || !rounds_since(0, 0); ++round) {
       if (am.write_shard(3, id, 1, data) != Status::Ok) bad.fetch_add(1);
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     sections_done.store(true);
   });

@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <stdexcept>
 #include <thread>
 
 #include "pcn/def.hpp"
 #include "pcn/process.hpp"
 #include "pcn/pseudo_def.hpp"
 #include "pcn/stream.hpp"
+#include "sched/sched.hpp"
 #include "vp/machine.hpp"
+#include "vp/mailbox.hpp"
 
 namespace tdp::pcn {
 namespace {
@@ -161,6 +165,111 @@ TEST(Compose, ParBlocksAreConcurrent) {
   Def<int> b;
   par([&] { a.define(1); EXPECT_EQ(b.read(), 2); },
       [&] { b.define(2); EXPECT_EQ(a.read(), 1); });
+}
+
+// par() spawns all blocks but the last, which runs in the caller under the
+// group's own policy: the caller's placement, the same exception and
+// MailboxClosed handling as a spawned block, and nothing surfaces before
+// every block has ended.  The caller here is itself a process, so the
+// last block runs inline on both lanes.
+
+/// Runs `body` as a process (a thread, or a task on the steal lane) and
+/// waits for it.
+void in_a_process(const Block& body) {
+  ProcessGroup group;
+  group.spawn(body);
+  group.join();
+}
+
+/// Who is running: the thread and, on the steal lane, the task (tasks
+/// share worker threads).
+std::pair<std::thread::id, sched::TaskRef> runner() {
+  return {std::this_thread::get_id(), sched::current_task()};
+}
+
+TEST(ParInline, LastBlockRunsInTheCallerWithItsPlacement) {
+  vp::Machine machine(4);
+  std::pair<std::thread::id, sched::TaskRef> caller;
+  std::pair<std::thread::id, sched::TaskRef> spawned;
+  std::pair<std::thread::id, sched::TaskRef> inlined;
+  int spawned_proc = -2;
+  int inline_proc = -2;
+  ProcessGroup group;
+  group.spawn_on(machine, 2, [&] {
+    caller = runner();
+    par(
+        [&] {
+          spawned = runner();
+          spawned_proc = vp::current_proc();
+        },
+        [&] {
+          inlined = runner();
+          inline_proc = vp::current_proc();
+        });
+  });
+  group.join();
+  EXPECT_EQ(inlined, caller);
+  EXPECT_EQ(inline_proc, 2);  // the caller's placement
+  EXPECT_NE(spawned, caller);
+  EXPECT_EQ(spawned_proc, -1);  // unplaced, as ProcessGroup::spawn
+}
+
+TEST(ParInline, InlineExceptionSurfacesOnlyAfterEveryBlockEnds) {
+  in_a_process([] {
+    Def<int> started;
+    std::atomic<bool> spawned_done{false};
+    EXPECT_THROW(par(
+                     [&] {
+                       started.read();
+                       sched::sleep_for(std::chrono::milliseconds(20));
+                       spawned_done = true;
+                     },
+                     [&] {
+                       started.define(1);
+                       throw std::runtime_error("inline");
+                     }),
+                 std::runtime_error);
+    EXPECT_TRUE(spawned_done.load());
+  });
+}
+
+TEST(ParInline, InlineMailboxClosedIsACleanEnd) {
+  in_a_process([] {
+    std::atomic<bool> spawned_ran{false};
+    EXPECT_NO_THROW(par([&] { spawned_ran = true; },
+                        [] { throw vp::MailboxClosed(); }));
+    EXPECT_TRUE(spawned_ran.load());
+  });
+}
+
+TEST(ParInline, FirstExceptionWinsAcrossSpawnedAndInlineBlocks) {
+  ProcessGroup group;
+  group.spawn([] { throw std::logic_error("spawned first"); });
+  while (group.first_exception() == nullptr) std::this_thread::yield();
+  group.run_here([] { throw std::runtime_error("inline second"); });
+  EXPECT_THROW(group.join(), std::logic_error);
+  EXPECT_EQ(group.spawned(), 1u);  // the inline block is not a process
+}
+
+TEST(ParInline, StealLaneSpawnsAllButTheLastBlockFromATask) {
+  sched::force_sched_mode(sched::SchedMode::Steal);
+  std::atomic<int> ran{0};
+  const auto three = [&] {
+    par([&] { ++ran; }, [&] { ++ran; }, [&] { ++ran; });
+  };
+  std::uint64_t from_task = 0;
+  in_a_process([&] {
+    const std::uint64_t before = sched::stats().spawned;
+    three();
+    from_task = sched::stats().spawned - before;
+  });
+  EXPECT_EQ(from_task, 2u);
+  // A plain thread would wait by OS sleeps, so it spawns every block.
+  const std::uint64_t before = sched::stats().spawned;
+  three();
+  EXPECT_EQ(sched::stats().spawned - before, 3u);
+  sched::unforce_sched_mode();
+  EXPECT_EQ(ran.load(), 6);
 }
 
 TEST(Compose, SeqRunsInOrder) {
