@@ -403,7 +403,9 @@ pcn::Block DistributedCall::launch(pcn::ProcessGroup& group,
   // Repartition barrier: hold each local() array's placement fixed for the
   // whole call, so a shard migration can never move a section out from
   // under copies that resolved it with find_local.  The combine releases
-  // the pins after the call's status defines.
+  // the pins after the call's status defines.  Each copy holds them too,
+  // so if spawning a later copy throws, the copies already running keep
+  // their sections until the last of them ends.
   std::vector<dist::ArrayId> pinned;
   for (const Param& p : params_) {
     if (p.kind != Param::Kind::Local) continue;
@@ -445,7 +447,7 @@ pcn::Block DistributedCall::launch(pcn::ProcessGroup& group,
     group.spawn_on(
         machine_, processors_[static_cast<std::size_t>(i)],
         [machine, arrays, shared, procs, results, program, comm, i,
-         has_status, spawn_flows, join_flows] {
+         has_status, spawn_flows, join_flows, pins] {
           obs::Span exec(obs::Op::CallExecute, comm,
                          static_cast<std::uint64_t>(i), &execute_hist);
           const std::uint64_t exec_t0 = obs::enabled() ? obs::now_ns() : 0;

@@ -1,5 +1,6 @@
 #include "core/do_all.hpp"
 
+#include <exception>
 #include <memory>
 
 #include "obs/attr.hpp"
@@ -112,28 +113,31 @@ pcn::Block launch(vp::Machine& machine, const std::vector<int>& processors,
 
   // The merge suspends on each local status in turn and combines them
   // pairwise; the result defines `status` only after every copy has
-  // terminated (§4.3.1 postcondition).  A combine that throws folds into
-  // kStatusError, as a throwing copy does.
+  // terminated (§4.3.1 postcondition).  A combine that throws is treated
+  // as a throwing copy is: the status defines as kStatusError, and the
+  // first such exception is rethrown for the group to record.
   return [locals, combine, status, n, call_id, join_flows] {
     int merged = (*locals)[0].read();
     if (join_flows) {
       obs::flow_end(obs::Op::DoAllCopy, (*join_flows)[0], call_id);
     }
-    bool combine_threw = false;
+    std::exception_ptr combine_error;
     for (int i = 1; i < n; ++i) {
       const int local = (*locals)[static_cast<std::size_t>(i)].read();
       if (join_flows) {
         obs::flow_end(obs::Op::DoAllCopy,
                       (*join_flows)[static_cast<std::size_t>(i)], call_id);
       }
+      if (combine_error) continue;
       try {
         merged = combine(merged, local);
       } catch (...) {
-        combine_threw = true;
+        combine_error = std::current_exception();
       }
     }
-    status.define(combine_threw ? kStatusError : merged);
+    status.define(combine_error ? kStatusError : merged);
     if (call_id != 0) obs::CallTable::instance().call_end(call_id);
+    if (combine_error) std::rethrow_exception(combine_error);
   };
 }
 

@@ -26,8 +26,10 @@ using DoAllCombine = std::function<int(int, int)>;
 /// Runs `body` once per entry of `processors`, each copy placed on its
 /// processor, waits for all copies, and returns the pairwise combination of
 /// their local statuses (in index order).  An empty group yields 0.  A
-/// combine that throws makes the result kStatusError.  The merge runs in
-/// the calling process.
+/// copy or combine that throws makes the status kStatusError, and the first
+/// such exception is rethrown once every copy has ended (by do_all itself,
+/// or by the group's join() for do_all_async).  The merge runs in the
+/// calling process.
 int do_all(vp::Machine& machine, const std::vector<int>& processors,
            const DoAllBody& body, const DoAllCombine& combine);
 

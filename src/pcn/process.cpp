@@ -112,16 +112,12 @@ std::size_t ProcessGroup::spawned() const {
 
 void par(std::vector<Block> blocks) {
   if (blocks.empty()) return;
-  // The caller runs the last block itself when it waits as cheaply as a
-  // spawned block would: on the thread lane, or as a steal-lane task.  A
-  // plain thread on the steal lane would turn each of the block's waits
-  // into an OS sleep where a task parks, so there every block is spawned.
-  const bool inline_last = sched::sched_mode() == sched::SchedMode::Thread ||
-                           sched::on_worker_fiber();
-  const std::size_t spawned = blocks.size() - (inline_last ? 1 : 0);
+  // The caller, which would otherwise only wait, runs the last block.
   ProcessGroup group;
-  for (std::size_t i = 0; i < spawned; ++i) group.spawn(std::move(blocks[i]));
-  if (inline_last) group.run_here(blocks.back());
+  for (std::size_t i = 0; i + 1 < blocks.size(); ++i) {
+    group.spawn(std::move(blocks[i]));
+  }
+  group.run_here(blocks.back());
   group.join();
 }
 

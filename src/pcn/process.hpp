@@ -109,9 +109,7 @@ class ProcessGroup {
 
 /// Parallel composition: runs every block concurrently and waits for all to
 /// terminate before returning.  Blocks 0..n-2 are spawned; the last block
-/// runs in the caller, which would otherwise only wait, unless the caller
-/// is a plain thread on the steal lane (whose waits would be OS sleeps
-/// where a task's are parks): then it is spawned too.  An inline block
+/// runs in the caller, which would otherwise only wait.  The inline block
 /// keeps the caller's placement (vp::current_proc()), PCN's rule for an
 /// unannotated process, while spawned blocks start unplaced, as
 /// ProcessGroup::spawn does.  An exception from any block, an inline one

@@ -708,18 +708,25 @@ TEST_F(CombineFailure, ThrowingReduceCombineFoldsIntoErrorStatus) {
                 "reduce combine 0");
 }
 
-TEST_F(CombineFailure, ThrowingDoAllCombineFoldsIntoErrorStatus) {
-  const DoAllCombine boom = [](int, int) -> int {
+// do_all has no error-message channel, so a throwing combine surfaces as
+// a throwing copy does: the status defines as kStatusError and the
+// exception reaches whoever joins.
+TEST_F(CombineFailure, ThrowingDoAllCombineDefinesErrorAndRethrows) {
+  std::atomic<int> combines{0};
+  const DoAllCombine boom = [&](int, int) -> int {
+    ++combines;
     throw std::runtime_error("boom");
   };
-  EXPECT_EQ(do_all(rt_.machine(), util::iota_nodes(3),
-                   [](int) { return kStatusOk; }, boom),
-            kStatusError);
+  EXPECT_THROW(do_all(rt_.machine(), util::iota_nodes(3),
+                      [](int) { return kStatusOk; }, boom),
+               std::runtime_error);
+  EXPECT_EQ(combines.load(), 1);  // later pairs are not combined
+
   pcn::ProcessGroup group;
   pcn::Def<int> defined = do_all_async(rt_.machine(), util::iota_nodes(3),
                                        [](int) { return kStatusOk; }, boom,
                                        group);
-  group.join();
+  EXPECT_THROW(group.join(), std::runtime_error);
   const int* got = defined.read_for(std::chrono::seconds(0));
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(*got, kStatusError);

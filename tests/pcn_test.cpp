@@ -170,8 +170,7 @@ TEST(Compose, ParBlocksAreConcurrent) {
 // par() spawns all blocks but the last, which runs in the caller under the
 // group's own policy: the caller's placement, the same exception and
 // MailboxClosed handling as a spawned block, and nothing surfaces before
-// every block has ended.  The caller here is itself a process, so the
-// last block runs inline on both lanes.
+// every block has ended.
 
 /// Runs `body` as a process (a thread, or a task on the steal lane) and
 /// waits for it.
@@ -251,7 +250,7 @@ TEST(ParInline, FirstExceptionWinsAcrossSpawnedAndInlineBlocks) {
   EXPECT_EQ(group.spawned(), 1u);  // the inline block is not a process
 }
 
-TEST(ParInline, StealLaneSpawnsAllButTheLastBlockFromATask) {
+TEST(ParInline, StealLaneSpawnsAllButTheLastBlock) {
   sched::force_sched_mode(sched::SchedMode::Steal);
   std::atomic<int> ran{0};
   const auto three = [&] {
@@ -264,10 +263,10 @@ TEST(ParInline, StealLaneSpawnsAllButTheLastBlockFromATask) {
     from_task = sched::stats().spawned - before;
   });
   EXPECT_EQ(from_task, 2u);
-  // A plain thread would wait by OS sleeps, so it spawns every block.
+  // A plain thread composes the same way as a task.
   const std::uint64_t before = sched::stats().spawned;
   three();
-  EXPECT_EQ(sched::stats().spawned - before, 3u);
+  EXPECT_EQ(sched::stats().spawned - before, 2u);
   sched::unforce_sched_mode();
   EXPECT_EQ(ran.load(), 6);
 }
